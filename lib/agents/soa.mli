@@ -1,9 +1,12 @@
 (** Struct-of-arrays agent store for million-agent simulations.
 
-    The boxed per-agent loops in [Scrip] and [Gnutella] top out around
+    Boxed per-agent loops (the [Scrip] reference simulators, and the
+    linear-scan Gnutella loop the tests keep as an oracle) top out around
     n ≈ 10³; the paper's §5 claims (scrip steady states, Gnutella free
     riding) are about n → ∞ populations. This module is the storage and
-    sharding layer that makes n = 10⁶ interactive: each per-agent field
+    sharding layer that makes n = 10⁶ interactive for the engines built
+    on it, [Scrip_soa] and [Gnutella_soa] (the only Gnutella engine):
+    each per-agent field
     lives in its own flat [Bigarray] column ({!F64}, {!I32}, {!I8} — no
     per-agent boxing, no GC scanning of agent state), the population is
     partitioned into contiguous {e shards} ({!part}), and cross-shard
@@ -48,26 +51,34 @@ val shard_of : part -> int -> int
     Fixed-length unboxed columns, one per agent field. Creation
     zero-fills. Reads/writes are bounds-checked ([get]/[set]) or not
     ([uget]/[uset] — for the shard-local hot loops whose indices are
-    already confined to [bounds]). *)
+    already confined to [bounds]).
+
+    The column types are concrete and the {!F64}/{!I8} accessors are
+    [external] Bigarray primitives: at a call site that knows the
+    element kind the compiler emits a raw load or store, with nothing
+    boxed and no call — also across the [-opaque] library boundary of
+    dune's dev profile, which stops ordinary functions from being
+    inlined. The {!I32} accessors convert to OCaml [int], so they stay
+    (allocation-free) functions. *)
 
 module F64 : sig
-  type t
+  type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   val create : int -> t
-  val length : t -> int
-  val get : t -> int -> float
-  val set : t -> int -> float -> unit
-  val uget : t -> int -> float
-  val uset : t -> int -> float -> unit
+  external length : t -> int = "%caml_ba_dim_1"
+  external get : t -> int -> float = "%caml_ba_ref_1"
+  external set : t -> int -> float -> unit = "%caml_ba_set_1"
+  external uget : t -> int -> float = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   val fill : t -> float -> unit
   val to_array : t -> float array
 end
 
 module I32 : sig
-  type t
+  type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   val create : int -> t
-  val length : t -> int
+  external length : t -> int = "%caml_ba_dim_1"
   val get : t -> int -> int
   val set : t -> int -> int -> unit
   val uget : t -> int -> int
@@ -77,14 +88,14 @@ module I32 : sig
 end
 
 module I8 : sig
-  type t
+  type t = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   val create : int -> t
-  val length : t -> int
-  val get : t -> int -> int
-  val set : t -> int -> int -> unit
-  val uget : t -> int -> int
-  val uset : t -> int -> int -> unit
+  external length : t -> int = "%caml_ba_dim_1"
+  external get : t -> int -> int = "%caml_ba_ref_1"
+  external set : t -> int -> int -> unit = "%caml_ba_set_1"
+  external uget : t -> int -> int = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
   val fill : t -> int -> unit
 end
 
@@ -101,7 +112,10 @@ module Exchange : sig
 
   val post : t -> src:int -> dst:int -> int -> int -> unit
   (** Append one event to the [(src, dst)] buffer. Safe to call
-      concurrently from distinct [src] shards. *)
+      concurrently from distinct [src] shards. Events are stored in
+      32 bits (agent indices and small counts).
+      @raise Invalid_argument if either value does not fit in 32 signed
+      bits. *)
 
   val pending : t -> int
   (** Events currently buffered (all pairs). Call only between parallel

@@ -24,7 +24,7 @@ let run ?jobs:_ () =
   List.iter
     (fun (users, cost) ->
       let p = { (G.default_params ~users) with G.cost } in
-      let s = G.simulate rng p in
+      let s = B.Gnutella_soa.simulate rng p in
       B.Tab.add_row tab
         [
           string_of_int users;

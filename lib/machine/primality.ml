@@ -1,16 +1,31 @@
-(* Modular multiplication that is overflow-safe for moduli up to 2^62, by
-   Russian-peasant doubling when operands are large. Each call counts as one
-   modular multiplication for complexity accounting (the doubling is how a
-   fixed-width ALU would implement it; charging per high-level mulmod keeps
-   the cost model machine-independent). *)
+(* Modular multiplication a·b mod m for 0 <= a, b < m, exact for every
+   modulus up to [max_int]. Each call counts as one modular multiplication
+   for complexity accounting (charging per high-level mulmod keeps the cost
+   model machine-independent, whichever way the product is formed):
+
+   - m < 2^31: the product fits in a native int.
+   - 2^31 <= m < 2^51: the quotient q = ⌊ab/m⌋ is estimated in floating
+     point. Both roundings together are within 1/2 of ab/m < 2^51, so the
+     estimate is off by at most one and ab − qm lies in [−m, 2m). That
+     fits in an int, and native ints wrap modulo 2^63, so computing it as
+     a·b − q·m is exact even though a·b itself overflows; one correction
+     step brings it into [0, m).
+   - m >= 2^51: Russian-peasant doubling with an add that never exceeds
+     m (so never [max_int]). *)
 let mulmod a b m =
   if m < 1 lsl 31 then a * b mod m
+  else if m < 1 lsl 51 then begin
+    let q = int_of_float (float_of_int a *. float_of_int b /. float_of_int m) in
+    let r = (a * b) - (q * m) in
+    if r < 0 then r + m else if r >= m then r - m else r
+  end
   else begin
+    let add x y = if x >= m - y then x - (m - y) else x + y in
     let rec go a b acc =
       if b = 0 then acc
       else begin
-        let acc = if b land 1 = 1 then (acc + a) mod m else acc in
-        go ((a + a) mod m) (b lsr 1) acc
+        let acc = if b land 1 = 1 then add acc a else acc in
+        go (add a a) (b lsr 1) acc
       end
     in
     go (a mod m) b 0
@@ -95,21 +110,27 @@ let sample_inputs rng spec =
     let x = base + Bn_util.Prng.int rng base in
     if x mod 2 = 0 then x + 1 else x
   in
+  (* Each candidate is tested once: an input is represented by its
+     [counted_is_prime] pair, the truth the game scores against and the
+     cost it charges for solving it. *)
   let rec sample_with want_prime =
     let rec scan x tries =
-      if tries > 4 * spec.bits * spec.bits then random_odd ()
-      else if is_prime x = want_prime then x
-      else scan (x + 2) (tries + 1)
+      if tries > 4 * spec.bits * spec.bits then accept (random_odd ())
+      else
+        let ((prime, _) as tested) = counted_is_prime x in
+        if prime = want_prime then tested else scan (x + 2) (tries + 1)
+    and accept x =
+      let ((prime, _) as tested) = counted_is_prime x in
+      if prime = want_prime then tested else sample_with want_prime
     in
-    let x = scan (random_odd ()) 0 in
-    if is_prime x = want_prime then x else sample_with want_prime
+    scan (random_odd ()) 0
   in
   Array.init spec.samples (fun i -> sample_with (i mod 2 = 0))
 
 let game rng spec =
-  let inputs = sample_inputs rng spec in
-  let truth = Array.map is_prime inputs in
-  let costs = Array.map (fun x -> float_of_int (snd (counted_is_prime x))) inputs in
+  let tested = sample_inputs rng spec in
+  let truth = Array.map fst tested in
+  let costs = Array.map (fun (_, ops) -> float_of_int ops) tested in
   let solve =
     {
       Machine.name = "solve";

@@ -38,7 +38,7 @@ let progress = Atomic.make false
 
 (* [timing] gates the wall-clock (Volatile) sketches recorded by {!timed}:
    off by default so uninstrumented runs never read a clock on a hot path.
-   [gc_probes] gates the Gc.quick_stat deltas captured at span boundaries;
+   [gc_probes] gates the GC deltas captured at span boundaries;
    it only has an effect while tracing is on (the probes piggyback on
    spans), so the disabled cost is one branch inside the tracing-on path
    and zero when tracing is off. *)
@@ -407,11 +407,24 @@ let no_args () = []
 
 (* {1 GC probes}
 
-   [Gc.quick_stat] deltas captured at span boundaries (no heap walk, a
-   handful of loads), aggregated per span label in a per-domain table and
-   summed at read time. Attribution is inclusive: a nested span's
-   allocation also counts toward its ancestors. Only enabled together
-   with tracing, behind the single [gc_probes] branch below. *)
+   Allocation and collection deltas captured at span boundaries,
+   aggregated per span label in a per-domain table and summed at read
+   time. Attribution is inclusive: a nested span's allocation also
+   counts toward its ancestors. Only enabled together with tracing,
+   behind the single [gc_probes] branch below.
+
+   A boundary reads this domain's allocation counters, tens of ns:
+   [Gc.minor_words], exact to the word, and the major and promoted words
+   of [Gc.counters] (whose minor count, like [Gc.quick_stat]'s, moves
+   only at collections). The collection counts come from
+   [Gc.quick_stat], which costs ~1.6 µs (it sums statistics over every
+   domain slot) — more than the work inside many spans — so each domain
+   caches them and reads them again only once its minor heap has been
+   collected. Allocating moves bytes from the minor heap's free space
+   into [minor_words], so their sum is constant between collections, and
+   a collection adds the fill it empties. The sum is taken just before
+   [quick_stat] allocates its result, so that fill is never zero: the
+   first collection after a refresh always changes the sum. *)
 
 type gc_cell = {
   mutable g_alloc_w : float;  (* allocated words: minor + major - promoted *)
@@ -419,19 +432,42 @@ type gc_cell = {
   mutable g_minor : int;
 }
 
-type gc_sink = { mutable g_names : string list; g_tbl : (string, gc_cell) Hashtbl.t }
+type gc_sink = {
+  mutable g_names : string list;
+  g_tbl : (string, gc_cell) Hashtbl.t;
+  mutable g_heap_sum : float;  (* minor-heap bytes allocated + free when the counts were read *)
+  mutable g_major_c : int;
+  mutable g_minor_c : int;
+}
 
 let gc_sinks_mu = Mutex.create ()
 let gc_sinks : gc_sink list ref = ref []
 
 let gc_sink_key : gc_sink Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let s = { g_names = []; g_tbl = Hashtbl.create 16 } in
+      let s =
+        { g_names = []; g_tbl = Hashtbl.create 16; g_heap_sum = -1.0; g_major_c = 0; g_minor_c = 0 }
+      in
       Mutex.protect gc_sinks_mu (fun () -> gc_sinks := s :: !gc_sinks);
       s)
 
-let gc_record name (s0 : Gc.stat) (s1 : Gc.stat) =
-  let sink = Domain.DLS.get gc_sink_key in
+let word_bytes = float_of_int (Sys.word_size / 8)
+
+(* Words this domain has allocated so far; refreshes the sink's
+   collection counts if a collection happened since they were read. *)
+let gc_probe sink =
+  let _, promoted, major = Gc.counters () in
+  let minor = Gc.minor_words () in
+  let sum = (minor *. word_bytes) +. float_of_int (Gc.get_minor_free ()) in
+  if sum <> sink.g_heap_sum then begin
+    sink.g_heap_sum <- sum;
+    let st = Gc.quick_stat () in
+    sink.g_major_c <- st.Gc.major_collections;
+    sink.g_minor_c <- st.Gc.minor_collections
+  end;
+  minor +. major -. promoted
+
+let gc_record sink name ~words ~major ~minor =
   let cell =
     match Hashtbl.find_opt sink.g_tbl name with
     | Some c -> c
@@ -441,13 +477,9 @@ let gc_record name (s0 : Gc.stat) (s1 : Gc.stat) =
       sink.g_names <- name :: sink.g_names;
       c
   in
-  cell.g_alloc_w <-
-    cell.g_alloc_w
-    +. (s1.Gc.minor_words -. s0.Gc.minor_words)
-    +. (s1.Gc.major_words -. s0.Gc.major_words)
-    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words);
-  cell.g_major <- cell.g_major + (s1.Gc.major_collections - s0.Gc.major_collections);
-  cell.g_minor <- cell.g_minor + (s1.Gc.minor_collections - s0.Gc.minor_collections)
+  cell.g_alloc_w <- cell.g_alloc_w +. words;
+  cell.g_major <- cell.g_major + major;
+  cell.g_minor <- cell.g_minor + minor
 
 (* Aggregated (label, (alloc_words, major_collections, minor_collections))
    rows, sorted by label. Export-only, like every wall-clock artifact. *)
@@ -488,10 +520,14 @@ let span ?(args = no_args) name f =
     ignore (Atomic.fetch_and_add spans_total 1);
     emit name Begin (args ());
     if Atomic.get gc_probes then begin
-      let s0 = Gc.quick_stat () in
+      let sink = Domain.DLS.get gc_sink_key in
+      let w0 = gc_probe sink in
+      let major0 = sink.g_major_c and minor0 = sink.g_minor_c in
       Fun.protect
         ~finally:(fun () ->
-          gc_record name s0 (Gc.quick_stat ());
+          let w1 = gc_probe sink in
+          gc_record sink name ~words:(w1 -. w0) ~major:(sink.g_major_c - major0)
+            ~minor:(sink.g_minor_c - minor0);
           emit name End [])
         f
     end

@@ -48,8 +48,8 @@ val set_timing : bool -> unit
 val timing_enabled : unit -> bool
 
 val set_gc_probes : bool -> unit
-(** Enable [Gc.quick_stat] deltas at span boundaries (implies a useful
-    result only when tracing is also on). Off by default. *)
+(** Enable GC deltas at span boundaries (implies a useful result only
+    when tracing is also on). Off by default. *)
 
 val gc_probes_enabled : unit -> bool
 
@@ -170,7 +170,8 @@ val reset : unit -> unit
 val gc_snapshot : unit -> (string * (int * int * int)) list
 (** Per span label, inclusive [(alloc words, major collections, minor
     collections)] deltas captured while {!set_gc_probes} (and tracing)
-    were on; sorted by label. *)
+    were on; sorted by label. Words are those allocated by the domain
+    running the span, while it ran. *)
 
 (** {1 Exporters} *)
 

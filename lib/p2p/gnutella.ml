@@ -22,10 +22,11 @@ let zipf_sample rng ~scale ~exponent =
   let u = 1.0 -. Bn_util.Prng.float rng in
   scale /. (u ** (1.0 /. exponent))
 
-(* Load-concentration statistics from the raw serve counts: shared by
-   the boxed simulation below and the SoA engine ([Gnutella_soa]), which
-   is QCheck-pinned to produce identical stats at shards = 1 — so this
-   must stay a pure function of (users, sharers, served). *)
+(* Load-concentration statistics from the raw serve counts, the back end
+   of the SoA engine ([Gnutella_soa]). Its shards = 1 run is
+   QCheck-pinned to the boxed reference loop in the tests, which shares
+   this function — so it must stay a pure function of
+   (users, sharers, served). *)
 let stats_of_load ~users ~sharers ~served =
   let total_served = Array.fold_left ( + ) 0 served in
   let sorted = Array.copy served in
@@ -48,36 +49,6 @@ let stats_of_load ~users ~sharers ~served =
     top10_response_share = top_share 10;
     gini_load = Bn_util.Stats.gini (List.map float_of_int (Array.to_list served));
   }
-
-let simulate rng params =
-  let { users; cost; kick_scale; zipf_exponent; queries } = params in
-  if users < 10 then invalid_arg "Gnutella.simulate: need at least 10 users";
-  let kicks =
-    Array.init users (fun _ -> zipf_sample rng ~scale:kick_scale ~exponent:zipf_exponent)
-  in
-  (* Dominant-strategy sharing decision: share iff the kick beats the cost. *)
-  let shares = Array.map (fun k -> k > cost) kicks in
-  let library i = if shares.(i) then Float.max 0.0 (kicks.(i) -. cost) else 0.0 in
-  let libraries = Array.init users library in
-  let total_library = Array.fold_left ( +. ) 0.0 libraries in
-  let served = Array.make users 0 in
-  if total_library > 0.0 then
-    for _ = 1 to queries do
-      (* Route the query to a host with probability proportional to its
-         shared library. *)
-      let x = Bn_util.Prng.float rng *. total_library in
-      let rec pick i acc =
-        if i >= users - 1 then i
-        else begin
-          let acc = acc +. libraries.(i) in
-          if x < acc then i else pick (i + 1) acc
-        end
-      in
-      let host = pick 0 0.0 in
-      served.(host) <- served.(host) + 1
-    done;
-  let sharers = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 shares in
-  stats_of_load ~users ~sharers ~served
 
 let sharing_game ~n ~cost ~kicks ~download_value =
   if Array.length kicks <> n then invalid_arg "Gnutella.sharing_game: kicks arity";

@@ -9,9 +9,11 @@
     from providing the music).
 
     Two views are provided: a small analytic normal-form game (free riding
-    is dominance-solvable for standard players) and a population simulation
+    is dominance-solvable for standard players) and the population model
     with heterogeneous, Zipf-distributed kicks calibrated to reproduce the
-    Adar–Huberman shape. *)
+    Adar–Huberman shape. This module holds the game, the model's types,
+    the kick sampler and the load statistics; the population simulation
+    itself is {!Gnutella_soa.simulate}. *)
 
 type params = {
   users : int;
@@ -32,25 +34,12 @@ type stats = {
 }
 
 val zipf_sample : Bn_util.Prng.t -> scale:float -> exponent:float -> float
-(** One heavy-tailed kick: [scale / u^(1/exponent)] for uniform [u].
-    Exposed so {!Gnutella_soa} draws bitwise-identical kicks. *)
+(** One heavy-tailed kick: [scale / u^(1/exponent)] for uniform [u]. *)
 
 val stats_of_load : users:int -> sharers:int -> served:int array -> stats
 (** Load-concentration statistics (top-1% / top-10% response share, Gini)
-    from raw per-host serve counts — the common back end of {!simulate}
-    and {!Gnutella_soa.simulate}, kept separate so the two engines
-    produce structurally identical [stats] from identical loads. *)
-
-val simulate : Bn_util.Prng.t -> params -> stats
-(** User [i] draws kick [k_i]; shares iff [k_i > cost]; sharers hold a
-    Zipf-sized library and serve queries with probability proportional to
-    library size.
-
-    The boxed loop routes each query with an O(users) linear scan —
-    fine up to users ≈ 10³. For large populations use
-    {!Gnutella_soa.simulate}: identical stats at [shards = 1]
-    (QCheck-pinned), O(log users) routing, and sharded deterministic
-    parallelism. *)
+    from raw per-host serve counts — the back end of
+    {!Gnutella_soa.simulate}. *)
 
 val sharing_game :
   n:int -> cost:float -> kicks:float array -> download_value:float ->

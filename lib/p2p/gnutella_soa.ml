@@ -1,8 +1,8 @@
 (* SoA Gnutella engine. Two regimes share all the machinery:
 
-   - shards = 1: draws come sequentially from the caller's rng in the
-     boxed loop's order (kicks first, then one float per query), so the
-     stats are bitwise those of [Gnutella.simulate] — the QCheck pin
+   - shards = 1: draws come sequentially from the caller's rng (kicks
+     first, then one float per query), so the stats are bitwise those of
+     the boxed linear-scan reference loop the tests keep — the QCheck pin
      that the columns / prefix sums / exchange plumbing is faithful.
    - shards > 1: per-shard split streams (kicks: index s; queries:
      index shards + b·shards + s for batch b), deterministic at any
@@ -34,8 +34,8 @@ let simulate ?(jobs = 1) ?(shards = 1) rng params =
   let shard_ids = Array.init shards Fun.id in
   (* lib.(i) = shared library size; cum.(i) = left-fold prefix
      lib.(lo) + … + lib.(i) within agent i's shard — at shards = 1 this
-     is exactly the boxed loop's running accumulator, so the binary
-     search below picks the same host as its linear scan. *)
+     is exactly a linear scan's running accumulator, so the binary
+     search below picks the same host as that scan. *)
   let lib = Soa.F64.create users in
   let cum = Soa.F64.create users in
   let sharer_tally = Array.make shards 0 in
@@ -58,7 +58,7 @@ let simulate ?(jobs = 1) ?(shards = 1) rng params =
   let sharers = Array.fold_left ( + ) 0 sharer_tally in
   (* Per-shard library mass, folded in shard order: base.(s) is the mass
      strictly before shard s, base.(shards) the grand total — at
-     shards = 1 the same left-fold float as the boxed loop's total. *)
+     shards = 1 the left-fold float total of all libraries. *)
   let base = Array.make (shards + 1) 0.0 in
   for s = 0 to shards - 1 do
     let lo, hi = Soa.bounds part s in
@@ -68,8 +68,8 @@ let simulate ?(jobs = 1) ?(shards = 1) rng params =
   let served = Soa.I32.create users in
   let ex = Soa.Exchange.create ~shards in
   (* Route x ∈ [0, total): owning shard by scan over the (few) bases,
-     then binary search for the first i in the shard with x' < cum.(i);
-     clamped to the last host like the boxed loop. *)
+     then binary search for the first i in the shard with x' < cum.(i),
+     clamped to the shard's last host. *)
   let route x =
     let s = ref 0 in
     while !s < shards - 1 && x >= base.(!s + 1) do

@@ -98,6 +98,48 @@ let test_counted_cost_grows () =
   Alcotest.(check bool) "bigger prime costs more" true (c_big > c_small);
   Alcotest.(check bool) "positive cost" true (c_small > 0)
 
+(* Above 2^31 the product leaves the native int: moduli below 2^51 take
+   the floating-point quotient, larger ones the overflow-free doubling. *)
+let test_large_primes () =
+  List.iter
+    (fun p -> Alcotest.(check bool) (string_of_int p) true (P.is_prime p))
+    [
+      (1 lsl 31) + 11; (1 lsl 40) + 15; (1 lsl 50) + 55; (1 lsl 51) + 21; (1 lsl 52) + 21;
+      (1 lsl 60) + 33; (1 lsl 61) - 1; (1 lsl 61) + 15; (1 lsl 62) - 57;
+    ];
+  (* Strong pseudoprimes: 3215031751 to bases 2, 3, 5 and 7;
+     3825123056546413051 to every prime base up to 31, so only the
+     last base, 37, exposes it. *)
+  List.iter
+    (fun c -> Alcotest.(check bool) (string_of_int c) false (P.is_prime c))
+    [ 3215031751; 3825123056546413051 ]
+
+let test_large_counts_pinned () =
+  (* The game charges these counts; a faster mulmod must not move them. *)
+  List.iter
+    (fun (n, ops) ->
+      Alcotest.(check int) (string_of_int n) ops (snd (P.counted_is_prime n)))
+    [
+      ((1 lsl 31) + 11, 372); ((1 lsl 40) + 15, 480); ((1 lsl 50) + 55, 600);
+      ((1 lsl 51) + 21, 607); ((1 lsl 52) + 21, 617); ((1 lsl 60) + 33, 705);
+      ((1 lsl 61) - 1, 720); (3215031751, 155);
+    ]
+
+let test_odd_numbers_above_2_61 () =
+  (* 104 primes among the 2001 odd numbers 2^61 + 1, ..., 2^61 + 4001. *)
+  let primes = ref 0 in
+  for i = 0 to 2000 do
+    if P.is_prime ((1 lsl 61) + 1 + (2 * i)) then incr primes
+  done;
+  Alcotest.(check int) "primes" 104 !primes
+
+let test_utilities_at_62_bits () =
+  (* The sampler must find 62-bit primes for the game to exist at all. *)
+  let us = P.utilities (B.Prng.create 62) (P.default_spec ~bits:62 ~cost_per_op:0.05) in
+  Alcotest.(check (list string)) "machines" (Array.to_list P.machine_names) (List.map fst us);
+  Alcotest.(check bool) "safe beats solve at 62 bits" true
+    (List.assoc "safe" us > List.assoc "solve" us)
+
 let test_primality_game_crossover () =
   let rng = B.Prng.create 77 in
   let small = P.default_spec ~bits:8 ~cost_per_op:0.05 in
@@ -171,6 +213,10 @@ let suite =
     Alcotest.test_case "primality: known values" `Quick test_known_primes;
     Alcotest.test_case "primality: Carmichael" `Quick test_carmichael_numbers;
     Alcotest.test_case "primality: cost grows" `Quick test_counted_cost_grows;
+    Alcotest.test_case "primality: above 2^31" `Quick test_large_primes;
+    Alcotest.test_case "primality: counts pinned" `Quick test_large_counts_pinned;
+    Alcotest.test_case "primality: odd numbers above 2^61" `Quick test_odd_numbers_above_2_61;
+    Alcotest.test_case "primality: 62-bit utilities" `Slow test_utilities_at_62_bits;
     Alcotest.test_case "primality: crossover" `Slow test_primality_game_crossover;
     Alcotest.test_case "primality: equilibrium choice" `Slow test_primality_equilibrium_choice;
     Alcotest.test_case "primality: crossover bits" `Slow test_crossover_bits_found;

@@ -469,6 +469,38 @@ let test_gc_probes_off_by_default () =
   Alcotest.(check (list (pair string (triple int int int)))) "no gc data without the switch" []
     (List.map (fun (n, (a, b, c)) -> (n, (a, b, c))) (B.Obs.gc_snapshot ()))
 
+(* The allocation gate: Scrip_soa's step reads and writes unboxed columns
+   and draws from an allocation-free Prng, so a whole step (draw phase,
+   flush and bookkeeping) allocates under one word per request; boxed
+   accessors and draws would cost ~30. *)
+let test_scrip_step_alloc_gate () =
+  let params = { (B.Scrip.default_params ~n:10_000) with B.Scrip.rounds = 0 } in
+  B.Obs.reset ();
+  B.Obs.set_tracing true;
+  B.Obs.set_gc_probes true;
+  let st =
+    Fun.protect
+      ~finally:(fun () ->
+        B.Obs.set_tracing false;
+        B.Obs.set_gc_probes false)
+      (fun () ->
+        B.Scrip_soa.run ~jobs:1 ~shards:64 ~seed:17 ~steps:20 ~params
+          ~kind_of:(fun i ->
+            match i mod 10 with 0 -> B.Scrip.Altruist | 1 -> B.Scrip.Hoarder | _ -> B.Scrip.Standard 4)
+          ~money_per_agent:2.0 ())
+  in
+  let words =
+    match List.assoc_opt "scrip_soa.step" (B.Obs.gc_snapshot ()) with
+    | Some (w, _, _) -> w
+    | None -> Alcotest.fail "no gc probe data for scrip_soa.step"
+  in
+  B.Obs.reset ();
+  let requests = st.B.Scrip_soa.requests in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d requests (< 1 per request)" words requests)
+    true
+    (requests > 0 && words < requests)
+
 (* The acceptance bound: full instrumentation (tracing + timing + GC
    probes) costs < 5% wall time at experiment scale — the `--profile
    --all` shape, where spans wrap batches of real work rather than
@@ -684,6 +716,8 @@ let suite =
     Alcotest.test_case "profiler rows, folded export, gc regions" `Slow
       test_profile_rows_and_folded;
     Alcotest.test_case "gc probes off by default" `Quick test_gc_probes_off_by_default;
+    Alcotest.test_case "gc probes: scrip_soa.step < 1 word per request" `Quick
+      test_scrip_step_alloc_gate;
     Alcotest.test_case "instrumentation overhead < 5%" `Slow test_instrumentation_overhead;
     Alcotest.test_case "summary renders hist+sketch quantiles" `Quick
       test_summary_renders_quantiles;

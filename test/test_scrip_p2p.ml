@@ -150,9 +150,38 @@ let test_soa_altruists_inject_scrip () =
 
 (* {1 Gnutella} *)
 
+(* The boxed reference loop, kept here as the oracle for the SoA engine:
+   kicks in a boxed array, each query routed by an O(users) linear scan
+   of the running library total. *)
+let boxed_simulate rng params =
+  let { G.users; cost; kick_scale; zipf_exponent; queries } = params in
+  let kicks =
+    Array.init users (fun _ -> G.zipf_sample rng ~scale:kick_scale ~exponent:zipf_exponent)
+  in
+  let shares = Array.map (fun k -> k > cost) kicks in
+  let library i = if shares.(i) then Float.max 0.0 (kicks.(i) -. cost) else 0.0 in
+  let libraries = Array.init users library in
+  let total_library = Array.fold_left ( +. ) 0.0 libraries in
+  let served = Array.make users 0 in
+  if total_library > 0.0 then
+    for _ = 1 to queries do
+      let x = B.Prng.float rng *. total_library in
+      let rec pick i acc =
+        if i >= users - 1 then i
+        else begin
+          let acc = acc +. libraries.(i) in
+          if x < acc then i else pick (i + 1) acc
+        end
+      in
+      let host = pick 0 0.0 in
+      served.(host) <- served.(host) + 1
+    done;
+  let sharers = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 shares in
+  G.stats_of_load ~users ~sharers ~served
+
 let test_free_riding_shape () =
   let rng = B.Prng.create 8 in
-  let s = G.simulate rng (G.default_params ~users:2000) in
+  let s = B.Gnutella_soa.simulate rng (G.default_params ~users:2000) in
   Alcotest.(check bool) "~70% free riders" true
     (s.G.free_rider_fraction > 0.55 && s.G.free_rider_fraction < 0.85);
   Alcotest.(check bool) "top 1% serves ~half" true
@@ -163,7 +192,7 @@ let test_cost_increases_free_riding () =
   let run cost =
     let rng = B.Prng.create 9 in
     let p = { (G.default_params ~users:2000) with G.cost } in
-    (G.simulate rng p).G.free_rider_fraction
+    (B.Gnutella_soa.simulate rng p).G.free_rider_fraction
   in
   Alcotest.(check bool) "higher cost, more free riding" true (run 2.0 > run 0.5)
 
@@ -192,7 +221,7 @@ let gnutella_fraction_bounds_property =
     QCheck.(int_range 1 100)
     (fun seed ->
       let rng = B.Prng.create seed in
-      let s = G.simulate rng (G.default_params ~users:500) in
+      let s = B.Gnutella_soa.simulate rng (G.default_params ~users:500) in
       s.G.free_rider_fraction >= 0.0 && s.G.free_rider_fraction <= 1.0
       && s.G.top1_response_share >= 0.0
       && s.G.top1_response_share <= 1.0
@@ -201,13 +230,13 @@ let gnutella_fraction_bounds_property =
 (* {1 Gnutella: SoA engine} *)
 
 let gnutella_soa_bitwise_property =
-  (* At shards = 1 the SoA engine replays the legacy draw sequence
+  (* At shards = 1 the SoA engine replays the boxed loop's draw sequence
      exactly: same stats record for every seed and size. *)
   QCheck.Test.make ~count:30 ~name:"gnutella soa: shards=1 bitwise-equal to legacy simulate"
     QCheck.(pair (int_range 1 1000) (int_range 10 800))
     (fun (seed, users) ->
       let p = G.default_params ~users in
-      G.simulate (B.Prng.create seed) p
+      boxed_simulate (B.Prng.create seed) p
       = B.Gnutella_soa.simulate ~shards:1 (B.Prng.create seed) p)
 
 let gnutella_soa_jobs_invariant_property =

@@ -94,6 +94,19 @@ let test_exchange_flush_order () =
   Alcotest.(check int) "cleared" 0 (Soa.Exchange.pending ex);
   Alcotest.(check int) "second flush empty" 0 (Soa.Exchange.flush ex (fun ~src:_ ~dst:_ _ _ -> ()))
 
+let test_exchange_rejects_wide_events () =
+  (* Events are stored in 32 bits; a wider value must not be truncated. *)
+  let ex = Soa.Exchange.create ~shards:2 in
+  Soa.Exchange.post ex ~src:0 ~dst:1 (-(1 lsl 31)) ((1 lsl 31) - 1);
+  Alcotest.check_raises "2^31" (Invalid_argument "Soa.Exchange.post: event outside 32 bits")
+    (fun () -> Soa.Exchange.post ex ~src:0 ~dst:1 (1 lsl 31) 0);
+  Alcotest.check_raises "-2^40" (Invalid_argument "Soa.Exchange.post: event outside 32 bits")
+    (fun () -> Soa.Exchange.post ex ~src:1 ~dst:0 0 (-(1 lsl 40)));
+  let log = ref [] in
+  ignore (Soa.Exchange.flush ex (fun ~src:_ ~dst:_ a b -> log := (a, b) :: !log));
+  Alcotest.(check (list (pair int int))) "in-range extremes round-trip"
+    [ (-(1 lsl 31), (1 lsl 31) - 1) ] !log
+
 let exchange_property =
   QCheck.Test.make ~count:100 ~name:"soa: exchange replays every event exactly once"
     QCheck.(list_of_size Gen.(int_range 0 60) (pair (int_range 0 3) (int_range 0 3)))
@@ -112,5 +125,7 @@ let suite =
     QCheck_alcotest.to_alcotest partition_property;
     Alcotest.test_case "columns: roundtrip" `Quick test_columns_roundtrip;
     Alcotest.test_case "exchange: flush order" `Quick test_exchange_flush_order;
+    Alcotest.test_case "exchange: rejects events wider than 32 bits" `Quick
+      test_exchange_rejects_wide_events;
     QCheck_alcotest.to_alcotest exchange_property;
   ]

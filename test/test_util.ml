@@ -59,6 +59,22 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 20 Fun.id) sorted
 
+(* Known answers. Seed 0's first two outputs are the published SplitMix64
+   reference values; the others pin [int], [float] and [split] as they
+   stand. The other Prng tests only compare streams with each other, so a
+   shifted or re-derived sequence would pass them. *)
+let test_prng_known_answers () =
+  let t = B.Prng.create 0 in
+  Alcotest.(check int64) "seed 0, first bits64" 0xe220a8397b1dcdafL (B.Prng.bits64 t);
+  Alcotest.(check int64) "seed 0, second bits64" 0x6e789e6aa1b965f4L (B.Prng.bits64 t);
+  let t = B.Prng.create 42 in
+  Alcotest.(check int) "seed 42, int _ 1000" 706 (B.Prng.int t 1000);
+  Alcotest.(check int64) "seed 42, then float (bits)"
+    (Int64.bits_of_float 0.1599103928769201)
+    (Int64.bits_of_float (B.Prng.float t));
+  Alcotest.(check int64) "split (create 7) 3, first bits64" 0xa2ce26c2d1774ce8L
+    (B.Prng.bits64 (B.Prng.split (B.Prng.create 7) 3))
+
 let test_prng_uniformity () =
   (* Chi-square-ish sanity: each bucket within 20% of expectation. *)
   let rng = B.Prng.create 123 in
@@ -275,6 +291,7 @@ let suite =
     Alcotest.test_case "prng: int range" `Quick test_prng_int_range;
     Alcotest.test_case "prng: invalid bound" `Quick test_prng_int_invalid;
     Alcotest.test_case "prng: shuffle permutation" `Quick test_prng_shuffle_permutation;
+    Alcotest.test_case "prng: known answers" `Quick test_prng_known_answers;
     Alcotest.test_case "prng: uniformity" `Slow test_prng_uniformity;
     Alcotest.test_case "dist: normalizes" `Quick test_dist_normalizes;
     Alcotest.test_case "dist: merges duplicates" `Quick test_dist_merges_duplicates;
