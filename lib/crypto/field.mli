@@ -1,7 +1,9 @@
 (** Arithmetic in the prime field GF(p) with p = 2^31 − 1.
 
-    Elements are OCaml ints in [0, p). Products of two elements fit in 62
-    bits, so native arithmetic never overflows on 64-bit platforms. This is
+    Elements are OCaml ints in [0, p); the operations below take and return
+    elements (use {!of_int} on anything else). Products of two elements fit
+    in 62 bits, so native arithmetic never overflows on 64-bit platforms,
+    and {!mul} reduces them by shift-and-add instead of a division. This is
     the algebra underlying secret sharing and the cheap-talk mediator
     protocols. *)
 
@@ -20,7 +22,7 @@ val pow : int -> int -> int
 (** [pow x e] for [e ≥ 0], by square-and-multiply. *)
 
 val inv : int -> int
-(** Multiplicative inverse via Fermat's little theorem.
+(** Multiplicative inverse, by the extended Euclidean algorithm.
     @raise Division_by_zero on 0. *)
 
 val div : int -> int -> int

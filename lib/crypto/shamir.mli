@@ -24,7 +24,15 @@ val robust_reconstruct :
 (** Berlekamp–Welch: reconstructs the degree-[degree] polynomial's secret
     from [n] shares of which up to [max_errors] may be arbitrarily wrong;
     requires [n ≥ degree + 2·max_errors + 1]. [None] if decoding fails
-    (more errors than the bound). *)
+    (more errors than the bound, or two shares at one x that disagree when
+    [max_errors = 0]); exact repeats of a share are harmless. Share
+    coordinates are field elements.
+
+    When the x values are distinct and every share lies on the polynomial
+    through the first [degree + 1] shares, that polynomial's secret is
+    returned without setting up the linear system: it is the answer the
+    system would give (see DESIGN.md §10).
+    @raise Invalid_argument if [degree] or [max_errors] is negative. *)
 
 val verify_consistent : degree:int -> share list -> bool
 (** Whether the given shares all lie on one polynomial of the stated

@@ -14,20 +14,29 @@ type ('s, 'm) process = {
 
 type 'm in_flight = { sender : int; dest : int; payload : 'm; seq : int }
 
-type 'm scheduler = 'm in_flight list -> 'm in_flight
+(* Pending messages sit in an array in posting order (so in [seq] order),
+   and a scheduler returns the index of the one to deliver. *)
+type 'm scheduler = 'm in_flight array -> int -> int
 
-let fifo pending =
-  List.fold_left (fun best m -> if m.seq < best.seq then m else best) (List.hd pending) pending
+let fifo _ _ = 0
 
-let random rng pending = List.nth pending (Bn_util.Prng.int rng (List.length pending))
+(* The draw counts from the newest message; seeded transcripts (E15) are
+   pinned to that order. *)
+let random rng _ len = len - 1 - Bn_util.Prng.int rng len
 
-let delayer ~victim ~budget pending =
-  let others = List.filter (fun m -> m.sender <> victim) pending in
-  if others <> [] && !budget > 0 then begin
-    decr budget;
-    fifo others
+let delayer ~victim ~budget pending len =
+  if !budget <= 0 then 0
+  else begin
+    let i = ref 0 in
+    while !i < len && pending.(!i).sender = victim do
+      incr i
+    done;
+    if !i < len then begin
+      decr budget;
+      !i
+    end
+    else 0
   end
-  else fifo pending
 
 (* Environment faults for the asynchronous network: once the scheduler has
    committed to delivering a message, the filter may still [Drop] it (it
@@ -53,11 +62,19 @@ let run ?(max_steps = 100_000) ?faults ~n ~scheduler process =
   Obs.span "async_net.run" ~args:(fun () -> [ ("n", Obs.I n) ])
   @@ fun () ->
   let seq = ref 0 in
-  let pending = ref [] in
+  (* In-flight messages: [pending.(0 .. len-1)], oldest first. *)
+  let pending = ref [||] and len = ref 0 in
   let post sender (dest, payload) =
     if dest < 0 || dest >= n then invalid_arg "Async_net.run: destination out of range";
-    pending := { sender; dest; payload; seq = !seq } :: !pending;
-    incr seq
+    let m = { sender; dest; payload; seq = !seq } in
+    incr seq;
+    if !len = Array.length !pending then begin
+      let grown = Array.make (max 16 (2 * !len)) m in
+      Array.blit !pending 0 grown 0 !len;
+      pending := grown
+    end;
+    !pending.(!len) <- m;
+    incr len
   in
   let states =
     Array.init n (fun me ->
@@ -65,12 +82,19 @@ let run ?(max_steps = 100_000) ?faults ~n ~scheduler process =
         List.iter (post me) outgoing;
         state)
   in
+  (* Only the receiving process's state changes in a step, so only its
+     entry is re-examined. *)
+  let decided = Array.map (fun s -> process.decided s <> None) states in
+  let undecided = ref (Array.fold_left (fun k d -> if d then k else k + 1) 0 decided) in
   let steps = ref 0 in
   let dropped = ref 0 in
-  let all_decided () = Array.for_all (fun s -> process.decided s <> None) states in
-  while (not (all_decided ())) && !pending <> [] && !steps < max_steps do
-    let m = scheduler !pending in
-    pending := List.filter (fun m' -> m'.seq <> m.seq) !pending;
+  while !undecided > 0 && !len > 0 && !steps < max_steps do
+    let q = !pending in
+    let i = scheduler q !len in
+    if i < 0 || i >= !len then invalid_arg "Async_net.run: scheduler index out of range";
+    let m = q.(i) in
+    Array.blit q (i + 1) q i (!len - i - 1);
+    decr len;
     let verdict =
       match faults with None -> Deliver | Some f -> f ~step:!steps m
     in
@@ -79,11 +103,15 @@ let run ?(max_steps = 100_000) ?faults ~n ~scheduler process =
     | (Deliver | Duplicate | Replace _) as v ->
       (match v with Duplicate -> post m.sender (m.dest, m.payload) | _ -> ());
       let payload = match v with Replace p -> p | _ -> m.payload in
-      let state, outgoing =
-        process.on_message ~me:m.dest states.(m.dest) ~sender:m.sender payload
-      in
-      states.(m.dest) <- state;
-      List.iter (post m.dest) outgoing);
+      let d = m.dest in
+      let state, outgoing = process.on_message ~me:d states.(d) ~sender:m.sender payload in
+      states.(d) <- state;
+      let now = process.decided state <> None in
+      if now <> decided.(d) then begin
+        decided.(d) <- now;
+        undecided := !undecided + if now then -1 else 1
+      end;
+      List.iter (post d) outgoing);
     incr steps
   done;
   Obs.add c_steps !steps;
@@ -91,7 +119,7 @@ let run ?(max_steps = 100_000) ?faults ~n ~scheduler process =
   {
     decisions = Array.map process.decided states;
     steps = !steps;
-    undelivered = List.length !pending;
+    undelivered = !len;
     dropped = !dropped;
   }
 

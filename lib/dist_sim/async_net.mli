@@ -18,20 +18,25 @@ type ('s, 'm) process = {
 type 'm in_flight = { sender : int; dest : int; payload : 'm; seq : int }
 (** A pending message; [seq] is a global sequence number (FIFO order). *)
 
-type 'm scheduler = 'm in_flight list -> 'm in_flight
-(** Chooses the next message to deliver from a non-empty pending list. *)
+type 'm scheduler = 'm in_flight array -> int -> int
+(** [scheduler pending len] chooses the next message to deliver: an index
+    in [[0, len)] of [pending], whose first [len] entries are the messages
+    in flight in posting order ([seq] ascending), [len > 0]. Entries from
+    [len] on are stale. {!run} removes the chosen message by shifting the
+    later ones down one slot. *)
 
 val fifo : 'm scheduler
-(** Deliver in global send order (the synchronous-like baseline). *)
+(** Deliver in global send order (the synchronous-like baseline): index 0. *)
 
 val random : Bn_util.Prng.t -> 'm scheduler
-(** Uniformly random pending message. *)
+(** Uniformly random pending message: [len - 1 - Prng.int rng len]. *)
 
 val delayer : victim:int -> budget:int ref -> 'm scheduler
 (** Adversarial: starves messages {e from} [victim] while any other message
-    is pending, spending one unit of [budget] per starvation step; once the
-    budget is exhausted it behaves like {!fifo}. (A finite budget models
-    the eventual-delivery fairness assumption.) *)
+    is pending, spending one unit of [budget] per starvation step (it then
+    delivers the oldest other message); once the budget is exhausted it
+    behaves like {!fifo}. (A finite budget models the eventual-delivery
+    fairness assumption.) *)
 
 type 'm fault_verdict = Deliver | Drop | Duplicate | Replace of 'm
 
@@ -60,7 +65,9 @@ val run :
   ('s, 'm) process ->
   int result
 (** Runs until every process has decided, no messages are pending, or
-    [max_steps] (default 100_000) deliveries have happened. *)
+    [max_steps] (default 100_000) deliveries have happened.
+    @raise Invalid_argument on a destination outside [[0, n)] or a
+    scheduler index outside the pending messages. *)
 
 val run_scenarios :
   ?max_steps:int ->

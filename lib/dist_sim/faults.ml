@@ -144,64 +144,120 @@ let async_filter rng ~drop ~dup =
     else if u < drop +. dup then Async_net.Duplicate
     else Async_net.Deliver
 
-(* Asynchronous reading of a declarative schedule. There are no rounds, so
-   events apply by link: a crash silences every message the victim sends, a
-   drop/corrupt/duplicate applies to every delivery on its (src, dst) link
-   regardless of the event's [round] field. Duplicate fires once per link —
-   Async_net re-enqueues the copy as a fresh in-flight message, so an
-   unconditional Duplicate verdict would re-duplicate its own copies
-   forever. The filter's only state is the once-per-link memo, created
-   fresh per call, so one plan value must not be shared across runs. *)
+(* The asynchronous readings look a schedule up once per message, so each
+   compiles the events it needs once, into the links they touch: a flat
+   [| src0; dst0; src1; dst1; ... |] array in schedule order. Rounds do
+   not exist here: events apply by link, whatever their [round] field. *)
+let links_of pick schedule =
+  Array.of_list
+    (List.fold_right
+       (fun ev acc -> match pick ev with Some (src, dst) -> src :: dst :: acc | None -> acc)
+       schedule [])
+
+(* Position of the first (src, dst) entry in [links], or -1: the same
+   position for every lookup of one link. *)
+let find_link links src dst =
+  let k = Array.length links / 2 in
+  let i = ref 0 in
+  while !i < k && not (links.(2 * !i) = src && links.((2 * !i) + 1) = dst) do
+    incr i
+  done;
+  if !i < k then !i else -1
+
+let mem_int (x : int) a =
+  let k = Array.length a in
+  let i = ref 0 in
+  while !i < k && a.(!i) <> x do
+    incr i
+  done;
+  !i < k
+
+(* Once the scheduler has picked a message, a crash silences every message
+   its victim sends, and a drop/corrupt/duplicate applies to every delivery
+   on its (src, dst) link. Duplicate fires once per link — Async_net
+   re-enqueues the copy as a fresh in-flight message, so an unconditional
+   Duplicate verdict would re-duplicate its own copies forever. The
+   filter's only state is the once-per-link memo, kept at the link's first
+   entry and created fresh per call, so one plan value must not be shared
+   across runs. *)
 let async_plan ?corrupt schedule =
-  let dup_used = ref [] in
-  let has p = List.exists p schedule in
+  let crashed =
+    Array.of_list (List.filter_map (function Crash { proc; _ } -> Some proc | _ -> None) schedule)
+  in
+  let dropped = links_of (function Drop { src; dst; _ } -> Some (src, dst) | _ -> None) schedule in
+  let corrupted =
+    links_of (function Corrupt { src; dst; _ } -> Some (src, dst) | _ -> None) schedule
+  in
+  let duplicated =
+    links_of (function Duplicate { src; dst; _ } -> Some (src, dst) | _ -> None) schedule
+  in
+  let dup_used = Array.make (Array.length duplicated / 2) false in
   fun ~step:_ (m : 'm Async_net.in_flight) ->
     let src = m.Async_net.sender and dst = m.Async_net.dest in
-    if has (function Crash { proc; _ } -> proc = src | _ -> false) then begin
+    if mem_int src crashed || find_link dropped src dst >= 0 then begin
       Obs.incr c_link_events;
       Async_net.Drop
     end
-    else if has (function Drop { src = s; dst = d; _ } -> s = src && d = dst | _ -> false)
-    then begin
-      Obs.incr c_link_events;
-      Async_net.Drop
-    end
-    else if has (function Corrupt { src = s; dst = d; _ } -> s = src && d = dst | _ -> false)
-    then begin
+    else if find_link corrupted src dst >= 0 then begin
       Obs.incr c_link_events;
       match corrupt with
       | None -> Async_net.Deliver
       | Some f -> Async_net.Replace (f ~src ~dst m.Async_net.payload)
     end
-    else if
-      (not (List.mem (src, dst) !dup_used))
-      && has (function Duplicate { src = s; dst = d; _ } -> s = src && d = dst | _ -> false)
-    then begin
-      Obs.incr c_link_events;
-      dup_used := (src, dst) :: !dup_used;
-      Async_net.Duplicate
-    end
-    else Async_net.Deliver
+    else
+      let l = find_link duplicated src dst in
+      if l >= 0 && not dup_used.(l) then begin
+        Obs.incr c_link_events;
+        dup_used.(l) <- true;
+        Async_net.Duplicate
+      end
+      else Async_net.Deliver
+
+(* A partition as, per process it lists, the index of the first group
+   holding it (-1 for none). Two processes share a group iff both have an
+   index and the indices are equal, or neither has one and they are the
+   same process: {!same_group}'s reading, since [List.find_opt] returns
+   that first group and two such groups are physically equal only if they
+   are the same one. *)
+let group_index groups =
+  let top = List.fold_left (List.fold_left max) (-1) groups in
+  let idx = Array.make (top + 1) (-1) in
+  List.iteri
+    (fun gi g -> List.iter (fun v -> if v >= 0 && idx.(v) < 0 then idx.(v) <- gi) g)
+    groups;
+  idx
+
+let separated idx a b =
+  let ga = if a < Array.length idx then idx.(a) else -1 in
+  let gb = if b < Array.length idx then idx.(b) else -1 in
+  if ga < 0 && gb < 0 then a <> b else ga <> gb
 
 (* Delay and Partition have no asynchronous loss semantics: they become
    pure scheduling pressure. Matching messages are starved while any fresh
    message is pending but are still delivered once only starved messages
    remain, so eventual delivery (fairness) is preserved — the no-culprit
    events of {!culprits} stay harmless on their own, exactly as in the
-   synchronous reading where partitions heal. *)
+   synchronous reading where partitions heal. A schedule with neither is
+   plain FIFO. *)
 let async_scheduler schedule =
-  let starved (m : 'm Async_net.in_flight) =
-    List.exists
-      (function
-        | Delay { src; dst; _ } -> src = m.Async_net.sender && dst = m.Async_net.dest
-        | Partition { groups; _ } -> not (same_group groups m.Async_net.sender m.Async_net.dest)
-        | Drop _ | Duplicate _ | Crash _ | Corrupt _ -> false)
-      schedule
-  in
-  fun pending ->
-    match List.filter (fun m -> not (starved m)) pending with
-    | [] -> Async_net.fifo pending
-    | fresh -> Async_net.fifo fresh
+  if not (List.exists (function Delay _ | Partition _ -> true | _ -> false) schedule) then
+    Async_net.fifo
+  else begin
+    let delayed = links_of (function Delay { src; dst; _ } -> Some (src, dst) | _ -> None) schedule in
+    let partitions =
+      List.filter_map (function Partition { groups; _ } -> Some (group_index groups) | _ -> None) schedule
+    in
+    let starved (m : 'm Async_net.in_flight) =
+      let src = m.Async_net.sender and dst = m.Async_net.dest in
+      find_link delayed src dst >= 0 || List.exists (fun idx -> separated idx src dst) partitions
+    in
+    fun pending len ->
+      let i = ref 0 in
+      while !i < len && starved pending.(!i) do
+        incr i
+      done;
+      if !i < len then !i else 0
+  end
 
 (* {1 Seed-deterministic random schedules} *)
 

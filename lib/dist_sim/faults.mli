@@ -80,8 +80,10 @@ val async_plan :
     re-enqueues copies as fresh messages, so an unconditional duplicate
     would loop forever). [Delay] and [Partition] are ignored here — give
     the schedule to {!async_scheduler} for their scheduling-pressure
-    reading. The filter carries the once-per-link memo, so build a fresh
-    plan per {!Async_net.run}. *)
+    reading. The schedule is compiled once, when the plan is built, into
+    the crashed processes and the dropped, corrupted and duplicated links.
+    The filter carries the once-per-link memo, so build a fresh plan per
+    {!Async_net.run}. *)
 
 val async_scheduler : schedule -> 'm Async_net.scheduler
 (** Starves messages matching the schedule's [Delay] links and
@@ -89,7 +91,9 @@ val async_scheduler : schedule -> 'm Async_net.scheduler
     otherwise; once only starved messages remain they are delivered FIFO,
     so every message is still eventually delivered — no-culprit events
     stay harmless on their own, mirroring partition healing in the
-    synchronous reading. Deterministic (no randomness, no state). *)
+    synchronous reading. Deterministic (no randomness, no state). The
+    schedule is compiled once into its delayed links and partition groups;
+    a schedule with neither is {!Async_net.fifo}. *)
 
 (** {1 Seed-deterministic random schedules} *)
 

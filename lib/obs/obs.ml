@@ -77,21 +77,41 @@ let with_registry f = Mutex.protect registry_mu f
    cells indexed by counter id, registered globally on the domain's first
    bump. A bump is a plain read-modify-write of the domain's own cell —
    no atomic, no lock, no false sharing with other domains. [value] sums
-   the shards; the registry keeps a shard alive after its domain dies, so
+   the shards; the registry keeps a shard after its domain dies, so
    counts survive pool teardown, and every library read happens after the
-   writing domains were joined (a full memory barrier), so sums are
-   exact. A read that races a live writer may miss its latest bumps —
-   harmless for the mid-run informational reads that are the only case. *)
+   writing domains were joined (a full memory barrier; a domain's exit
+   hooks run before its join returns), so sums are exact. A read that
+   races a live writer may miss its latest bumps — harmless for the
+   mid-run informational reads that are the only case.
+
+   A spawned domain hands its shard back when it exits, and the next
+   domain to record takes it over, adding to the counts already there:
+   sums stay exact, and the registry holds as many shards as domains
+   ever recorded at once, not one per domain [Pool] ever spawned. *)
 (* [sk_rows] holds the domain's sketch buckets, one row per sketch id,
    allocated on the domain's first observation of that sketch. *)
 type shard = { mutable cells : int array; mutable sk_rows : int array array }
 
 let shards : shard list ref = ref []
 
+(* Shards of exited domains, written by nobody until taken over. *)
+let idle : shard list ref = ref []
+
 let shard_key : shard Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let s = { cells = [||]; sk_rows = [||] } in
-      Mutex.protect registry_mu (fun () -> shards := s :: !shards);
+      let s =
+        Mutex.protect registry_mu (fun () ->
+            match !idle with
+            | s :: rest ->
+              idle := rest;
+              s
+            | [] ->
+              let s = { cells = [||]; sk_rows = [||] } in
+              shards := s :: !shards;
+              s)
+      in
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () -> Mutex.protect registry_mu (fun () -> idle := s :: !idle));
       s)
 
 (* Registration is idempotent by name so a counter can be declared at
@@ -146,6 +166,8 @@ let value c =
       let a = s.cells in
       acc + if c.cid < Array.length a then a.(c.cid) else 0)
     0 ss
+
+let shard_count () = with_registry (fun () -> List.length !shards)
 
 let gauge name =
   with_registry (fun () ->

@@ -76,6 +76,11 @@ val add2 : counter -> int -> counter -> int -> unit
 val value : counter -> int
 (** Sum of the per-domain shards; exact after the writers are joined. *)
 
+val shard_count : unit -> int
+(** Counter and sketch shards in the registry: as many as domains have
+    ever recorded at once. An exited domain's shard, counts included, is
+    taken over by the next domain that records. *)
+
 val gauge : string -> gauge
 val set_gauge : gauge -> int -> unit
 val max_gauge : gauge -> int -> unit

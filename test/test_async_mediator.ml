@@ -335,6 +335,69 @@ let test_sweep_sequential_rows_all_match () =
         true punish_ok)
     Bn_experiments.Mediator_sweep.cells
 
+(* {1 Array queue = list queue}
+
+   Async_net keeps in-flight messages in an array and its schedulers return
+   an index; Oracles.Async_list is the list queue it replaced, with the
+   schedule readings that scanned the event list per message. Same
+   process, same schedule, same seeds: the result records must be equal,
+   under every scheduler, with the schedule's fault plan applied. *)
+
+module Ms = Bn_experiments.Mediator_sweep
+module N = B.Async_net
+module O = Oracles.Async_list
+
+let corrupt ~src ~dst:_ = function
+  | A.Share s -> A.Share { s with B.Shamir.y = B.Field.add s.B.Shamir.y (1 + src) }
+  | A.Relay s -> A.Relay { s with B.Shamir.y = B.Field.add s.B.Shamir.y (1 + src) }
+
+let queue_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"async_net: array queue = list queue under every scheduler"
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let rng = B.Prng.create seed in
+      let c = List.nth Ms.cells (B.Prng.int rng (List.length Ms.cells)) in
+      let n = c.Ms.n and f = c.Ms.k + c.Ms.t in
+      (* The cell's own byzantine generator, or the same with partitions. *)
+      let schedule =
+        if B.Prng.bool rng then c.Ms.gen rng
+        else
+          Flt.random_schedule rng
+            {
+              (Flt.byzantine ~n ~rounds:2 ~max_events:((2 * f) + 2) ~max_culprits:f) with
+              Flt.kinds = [ Flt.KDrop; KDuplicate; KDelay; KCrash; KPartition; KCorrupt ];
+            }
+      in
+      (* Random cuts put every process in exactly one group; leave some
+         out and list one twice, so isolated processes and overlapping
+         groups occur too. *)
+      let schedule =
+        List.map
+          (function
+            | Flt.Partition p when B.Prng.bool rng ->
+              let out = B.Prng.int rng (1 lsl n) and twice = B.Prng.int rng n in
+              let kept v = (out lsr v) land 1 = 0 in
+              let groups = List.map (List.filter kept) p.groups in
+              Flt.Partition { p with groups = List.rev_map (fun g -> g @ [ twice ]) groups }
+            | ev -> ev)
+          schedule
+      in
+      let process = A.process ~n ~k:c.Ms.k ~t:c.Ms.t ~general_type:1 in
+      let victim = B.Prng.int rng n and budget = B.Prng.int rng 20 in
+      let rseed = B.Prng.int rng 1000 in
+      let agree (mk_new, mk_old) =
+        N.run ~n ~scheduler:(mk_new ()) ~faults:(Flt.async_plan ~corrupt schedule) process
+        = O.run ~n ~scheduler:(mk_old ()) ~faults:(O.async_plan ~corrupt schedule) process
+      in
+      List.for_all agree
+        [
+          ((fun () -> N.fifo), fun () -> O.fifo);
+          ((fun () -> N.random (B.Prng.create rseed)), fun () -> O.random (B.Prng.create rseed));
+          ( (fun () -> N.delayer ~victim ~budget:(ref budget)),
+            fun () -> O.delayer ~victim ~budget:(ref budget) );
+          ((fun () -> Flt.async_scheduler schedule), fun () -> O.async_scheduler schedule);
+        ])
+
 let suite =
   [
     Alcotest.test_case "fault-free decides above 3(k+t)" `Quick test_fault_free_decides;
@@ -369,4 +432,5 @@ let suite =
     Alcotest.test_case "sequential check validation" `Quick test_sequential_check_validation;
     Alcotest.test_case "sweep: sequential rows all match" `Quick
       test_sweep_sequential_rows_all_match;
+    QCheck_alcotest.to_alcotest queue_matches_oracle;
   ]

@@ -25,6 +25,38 @@ let field_pow_matches_mul =
   QCheck.Test.make ~count:100 ~name:"field: pow 3 = x*x*x" field_elt (fun x ->
       F.pow x 3 = F.mul x (F.mul x x))
 
+(* Field.mul reduces by shift-and-add; the oracle divides. Edge values are
+   drawn often so 0, 1 and p - 1 meet every other value. *)
+let field_elt_edgy =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl [ 0; 1; F.p - 1; F.p - 2; 1 lsl 30; (1 lsl 30) + 1 ]);
+          (1, int_range 2 20);
+          (3, int_range 0 (F.p - 1));
+        ])
+
+let field_mul_matches_mod =
+  QCheck.Test.make ~count:5000 ~name:"field: mul = a * b mod p on [0, p)^2"
+    QCheck.(pair field_elt_edgy field_elt_edgy)
+    (fun (a, b) -> F.mul a b = Oracles.Crypto.mul a b)
+
+let field_inv_matches_fermat =
+  QCheck.Test.make ~count:2000 ~name:"field: inv = x^(p-2) (Euclid = Fermat)" field_elt_edgy
+    (fun x -> x = 0 || F.inv x = Oracles.Crypto.inv x)
+
+let test_field_mul_edges () =
+  let edges = [ 0; 1; 2; F.p - 2; F.p - 1 ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          Alcotest.(check int) (Printf.sprintf "%d * %d" a b) (a * b mod F.p) (F.mul a b))
+        edges)
+    edges;
+  Alcotest.(check int) "(p-1)^2 = 1" 1 (F.mul (F.p - 1) (F.p - 1))
+
 let test_field_of_int_negative () =
   Alcotest.(check int) "canonical negative" (F.p - 5) (F.of_int (-5))
 
@@ -140,6 +172,85 @@ let test_bw_insufficient_shares () =
   Alcotest.(check bool) "n < d + 2e + 1 refused" true
     (S.robust_reconstruct ~degree:2 ~max_errors:1 shares = None)
 
+(* The four repeated-share cases: shares of 42 at degree 1, n = 4, with
+   the first share listed twice, as an exact repeat or with another y. *)
+let test_bw_repeated_share () =
+  let shares = S.share (C.Prng.create 6) ~secret:42 ~threshold:1 ~n:4 in
+  let first = List.hd shares in
+  let exact = first :: shares in
+  let clash = { first with S.y = F.add first.S.y 1 } :: shares in
+  let decode e l = S.robust_reconstruct ~degree:1 ~max_errors:e l in
+  Alcotest.(check (option int)) "e = 0, exact repeat" (Some 42) (decode 0 exact);
+  Alcotest.(check (option int)) "e = 0, two ys at one x" None (decode 0 clash);
+  Alcotest.(check (option int)) "e = 1, exact repeat" (Some 42) (decode 1 exact);
+  Alcotest.(check (option int)) "e = 1, two ys at one x" (Some 42) (decode 1 clash);
+  (* The exact repeat must not count toward the d + 1 distinct points. *)
+  Alcotest.(check (option int)) "e = 0, one distinct x for degree 1" None
+    (decode 0 [ first; first ])
+
+(* A random decoding problem: degree 0-3, max_errors 0-3, 1-11 shares of a
+   random polynomial at distinct x in [0, 12], some corrupted, sometimes
+   with a share repeated exactly or with another y. *)
+let bw_case seed =
+  let rng = C.Prng.create seed in
+  let d = C.Prng.int rng 4 and e = C.Prng.int rng 4 in
+  let n = 1 + C.Prng.int rng 11 in
+  let f = P.random rng ~degree:d ~secret:(C.Prng.int rng 1000) in
+  let xs = Array.init 13 Fun.id in
+  C.Prng.shuffle rng xs;
+  let corrupt_p = C.Prng.float rng *. 0.5 in
+  let shares =
+    List.init n (fun i ->
+        let x = xs.(i) in
+        let y = P.eval f x in
+        let y = if C.Prng.float rng < corrupt_p then F.add y (1 + C.Prng.int rng 5) else y in
+        { S.x; y })
+  in
+  let shares =
+    match C.Prng.int rng 4 with
+    | 0 ->
+      let s = List.nth shares (C.Prng.int rng n) in
+      let s = if C.Prng.bool rng then s else { s with S.y = F.random rng } in
+      let k = C.Prng.int rng (n + 1) in
+      List.filteri (fun i _ -> i < k) shares @ (s :: List.filteri (fun i _ -> i >= k) shares)
+    | _ -> shares
+  in
+  (d, e, shares)
+
+(* With max_errors = 0 the oracle interpolates every share and raises on a
+   repeated x; the library drops exact repeats and refuses a clash. *)
+let bw_expected d e shares =
+  match Oracles.Crypto.robust_reconstruct ~degree:d ~max_errors:e shares with
+  | r -> r
+  | exception Invalid_argument _ ->
+    let rec dedupe acc = function
+      | [] -> Some (List.rev acc)
+      | (s : S.share) :: rest -> (
+        match List.find_opt (fun (s' : S.share) -> s'.S.x = s.S.x) acc with
+        | None -> dedupe (s :: acc) rest
+        | Some s' -> if s'.S.y = s.S.y then dedupe acc rest else None)
+    in
+    Option.bind (dedupe [] shares) (Oracles.Crypto.robust_reconstruct ~degree:d ~max_errors:0)
+
+let bw_matches_oracle =
+  QCheck.Test.make ~count:3000 ~name:"shamir: robust_reconstruct = list-era decoder"
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let d, e, shares = bw_case seed in
+      S.robust_reconstruct ~degree:d ~max_errors:e shares = bw_expected d e shares)
+
+let fieldmat_matches_oracle =
+  QCheck.Test.make ~count:1000 ~name:"fieldmat: in-place solve = row-copying solve"
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let rng = C.Prng.create seed in
+      let rows = 1 + C.Prng.int rng 7 and cols = 1 + C.Prng.int rng 7 in
+      (* Small entries make rank-deficient and inconsistent systems common. *)
+      let entry () = if C.Prng.bool rng then C.Prng.int rng 3 else F.random rng in
+      let a = Array.init rows (fun _ -> Array.init cols (fun _ -> entry ())) in
+      let b = Array.init rows (fun _ -> entry ()) in
+      C.Fieldmat.solve a b = Oracles.Crypto.solve a b)
+
 (* {1 Hashing, commitments, PKI} *)
 
 let test_hash_deterministic () =
@@ -190,6 +301,9 @@ let suite =
     QCheck_alcotest.to_alcotest field_mul_inverse;
     QCheck_alcotest.to_alcotest field_distributive;
     QCheck_alcotest.to_alcotest field_pow_matches_mul;
+    QCheck_alcotest.to_alcotest field_mul_matches_mod;
+    Alcotest.test_case "field: mul at 0, 1, p-1" `Quick test_field_mul_edges;
+    QCheck_alcotest.to_alcotest field_inv_matches_fermat;
     Alcotest.test_case "field: of_int negative" `Quick test_field_of_int_negative;
     Alcotest.test_case "field: inv zero" `Quick test_field_inv_zero;
     Alcotest.test_case "field: Fermat" `Quick test_field_fermat;
@@ -207,6 +321,9 @@ let suite =
     QCheck_alcotest.to_alcotest berlekamp_welch_property;
     Alcotest.test_case "BW: too many errors" `Quick test_bw_too_many_errors;
     Alcotest.test_case "BW: insufficient shares" `Quick test_bw_insufficient_shares;
+    Alcotest.test_case "BW: repeated share" `Quick test_bw_repeated_share;
+    QCheck_alcotest.to_alcotest bw_matches_oracle;
+    QCheck_alcotest.to_alcotest fieldmat_matches_oracle;
     Alcotest.test_case "hash: deterministic" `Quick test_hash_deterministic;
     Alcotest.test_case "hash: framing" `Quick test_hash_ints_framing;
     Alcotest.test_case "commitments" `Quick test_commit_verify;

@@ -189,16 +189,19 @@ let test_async_random_decides_and_is_seeded () =
   Alcotest.(check int) "same seed, same leftovers" r.A.undelivered r'.A.undelivered;
   Alcotest.(check int) "nothing dropped without faults" 0 r.A.dropped
 
+(* The message a scheduler picks from pending messages in posting order. *)
+let pick sched pending = pending.(sched pending (Array.length pending))
+
 let test_async_delayer_starves_then_fifo () =
   (* Direct scheduler-level unit test: with budget, the victim's message is
      starved; at budget exhaustion the choice degrades to fifo. *)
   let m s q = { A.sender = s; dest = 0; payload = (); seq = q } in
-  let pending = [ m 0 0; m 1 1; m 1 2 ] in
+  let pending = [| m 0 0; m 1 1; m 1 2 |] in
   let budget = ref 1 in
   let sched = A.delayer ~victim:0 ~budget in
-  Alcotest.(check int) "starves the victim while budget lasts" 1 (sched pending).A.seq;
+  Alcotest.(check int) "starves the victim while budget lasts" 1 (pick sched pending).A.seq;
   Alcotest.(check int) "budget spent" 0 !budget;
-  Alcotest.(check int) "exhausted budget falls back to fifo" 0 (sched pending).A.seq;
+  Alcotest.(check int) "exhausted budget falls back to fifo" 0 (pick sched pending).A.seq;
   Alcotest.(check int) "budget not driven negative" 0 !budget
 
 let test_async_delayer_victim_only_queue () =
@@ -206,7 +209,7 @@ let test_async_delayer_victim_only_queue () =
   let m q = { A.sender = 2; dest = 0; payload = (); seq = q } in
   let budget = ref 5 in
   Alcotest.(check int) "must deliver the victim's message" 3
-    (A.delayer ~victim:2 ~budget [ m 4; m 3 ]).A.seq;
+    (pick (A.delayer ~victim:2 ~budget) [| m 3; m 4 |]).A.seq;
   Alcotest.(check int) "costs no budget" 5 !budget
 
 let test_async_delayer_budget_linear_delay () =
@@ -229,6 +232,31 @@ let test_async_delayer_budget_linear_delay () =
        ~scheduler:(A.delayer ~victim:0 ~budget:(ref 6))
        (async_min_flood ~n:3 ~values:[| 1; 2; 3 |]))
       .A.decisions.(1)
+
+(* A process whose decision comes and goes (decided after an odd number of
+   deliveries) and that answers every message until it has seen [limit]:
+   the run stops at the first step where all are decided at once, exactly
+   as the list-queue oracle does. *)
+let test_async_flip_flop_matches_oracle () =
+  let limit = 5 in
+  let flip =
+    {
+      A.init = (fun me -> (0, [ ((me + 1) mod 3, ()) ]));
+      on_message =
+        (fun ~me seen ~sender:_ () ->
+          let seen = seen + 1 in
+          (seen, if seen < limit then [ ((me + 1) mod 3, ()); ((me + 2) mod 3, ()) ] else []));
+      decided = (fun seen -> if seen land 1 = 1 then Some seen else None);
+    }
+  in
+  List.iter
+    (fun seed ->
+      let r = A.run ~n:3 ~scheduler:(A.random (B.Prng.create seed)) flip in
+      let o = Oracles.Async_list.(run ~n:3 ~scheduler:(random (B.Prng.create seed)) flip) in
+      Alcotest.(check (array (option int))) "decisions" o.A.decisions r.A.decisions;
+      Alcotest.(check int) "steps" o.A.steps r.A.steps;
+      Alcotest.(check int) "undelivered" o.A.undelivered r.A.undelivered)
+    (List.init 20 Fun.id)
 
 let test_async_empty_queue_terminates () =
   (* No initial messages and nobody ever decides: the run must stop at
@@ -301,6 +329,8 @@ let suite =
       test_async_delayer_victim_only_queue;
     Alcotest.test_case "async: delayer budget = linear delay" `Quick
       test_async_delayer_budget_linear_delay;
+    Alcotest.test_case "async: flip-flop decisions = list oracle" `Quick
+      test_async_flip_flop_matches_oracle;
     Alcotest.test_case "async: empty queue terminates" `Quick test_async_empty_queue_terminates;
     Alcotest.test_case "async: drop filter stalls consensus" `Quick
       test_async_fault_filter_drop_stalls;

@@ -62,6 +62,43 @@ let prop_parallel_sum =
            (Array.of_list xs));
       B.Obs.value c - before = List.fold_left ( + ) 0 xs)
 
+(* Every domain Pool spawns records into a shard; when the domain exits
+   the next one takes the shard over, so totals stay exact and the
+   registry does not grow with the number of pool calls. *)
+let test_shards_reused () =
+  let c = B.Obs.counter "test.obs.reused" in
+  let sk = B.Obs.sketch ~kind:B.Obs.Det "test.obs.reused_sk" in
+  let calls = 300 in
+  let run jobs =
+    B.Obs.reset ();
+    let pool = B.Pool.create ~domains:jobs () in
+    let call k =
+      ignore
+        (B.Pool.map_array pool
+           (fun x ->
+             B.Obs.add c x;
+             B.Obs.observe_sk sk (x * k);
+             x)
+           (Array.init 8 Fun.id))
+    in
+    call 1;
+    let shards = B.Obs.shard_count () in
+    for k = 2 to calls do
+      call k
+    done;
+    Alcotest.(check int)
+      (Printf.sprintf "no new shards over %d calls at jobs=%d" calls jobs)
+      shards (B.Obs.shard_count ());
+    (B.Obs.value c, B.Obs.Sketch.snapshot sk, det_snapshot ())
+  in
+  let v1, sk1, snap1 = run 1 in
+  let v2, sk2, snap2 = run 2 in
+  Alcotest.(check int) "exact total at jobs=1" (calls * 28) v1;
+  Alcotest.(check int) "exact total at jobs=2" (calls * 28) v2;
+  Alcotest.(check int) "sketch count" (calls * 8) (B.Obs.Sketch.count sk2);
+  Alcotest.(check bool) "same sketch at jobs=1 and jobs=2" true (sk1 = sk2);
+  Alcotest.check snapshot_t "same Det snapshot at jobs=1 and jobs=2" snap1 snap2
+
 (* {1 Det counters: identical for any -j and across reruns} *)
 
 (* E1-E3 exercise Robust under parallel sweeps, the explorer config
@@ -693,6 +730,7 @@ let suite =
     Alcotest.test_case "add2 batched update" `Quick test_add2;
     Alcotest.test_case "gauge max" `Quick test_gauge;
     QCheck_alcotest.to_alcotest prop_parallel_sum;
+    Alcotest.test_case "exited domains' shards are reused" `Quick test_shards_reused;
     Alcotest.test_case "Det counters: jobs=1 = jobs=4 (E1-E3 + explore)" `Slow
       test_det_jobs_invariant;
     Alcotest.test_case "golden Det snapshot (fixed-seed explore)" `Quick
