@@ -1,19 +1,21 @@
 (* Struct-of-arrays agent store: flat Bigarray columns per field, a
    balanced contiguous shard partition, and per-(src,dst) cross-shard
-   event buffers flushed in lexicographic order. See soa.mli for the
+   event buffers replayed in lexicographic order. See soa.mli for the
    determinism contract. *)
 
 (* {1 Shard partition} *)
 
-type part = { n : int; shards : int; quot : int; rem : int }
+type part = { n : int; shards : int; quot : int; rem : int; big : int }
 (* Shard s covers [lo, hi) with the first [rem] shards one agent larger:
-   sizes are quot+1 for s < rem and quot otherwise. *)
+   sizes are quot+1 for s < rem and quot otherwise, and agent [big] is
+   the first agent of the smaller shards. *)
 
 let partition ~n ~shards =
   if n < 0 then invalid_arg "Soa.partition: n < 0";
   if shards < 1 then invalid_arg "Soa.partition: shards < 1";
   let shards = max 1 (min shards (max 1 n)) in
-  { n; shards; quot = n / shards; rem = n mod shards }
+  let quot = n / shards and rem = n mod shards in
+  { n; shards; quot; rem; big = rem * (quot + 1) }
 
 let n p = p.n
 let shards p = p.shards
@@ -24,10 +26,15 @@ let bounds p s =
   let size = if s < p.rem then p.quot + 1 else p.quot in
   (lo, lo + size)
 
+(* Below [big], i / (quot + 1); from it on, rem + (i - big) / quot. The
+   boundary can fall mid-population (agent 50,016 of 10⁵ at 64 shards),
+   where a branch on [i < big] mispredicts about half the time for
+   uniform [i]; so [m] (−1 below, 0 from [big] on: the sign of i − big)
+   selects the offset, divisor and base of one division instead. *)
 let shard_of p i =
   if i < 0 || i >= p.n then invalid_arg "Soa.shard_of: agent out of range";
-  let big = p.rem * (p.quot + 1) in
-  if i < big then i / (p.quot + 1) else p.rem + ((i - big) / p.quot)
+  let m = (i - p.big) asr 62 in
+  ((i - (p.big land lnot m)) / (p.quot - m)) + (p.rem land lnot m)
 
 (* {1 Columns} *)
 
@@ -52,9 +59,6 @@ module F64 = struct
   let to_array t = Array.init (length t) (get t)
 end
 
-(* An int32 crosses into an OCaml int through a conversion, so these
-   stay functions; the [t] annotations fix the element kind, which lets
-   the compiler inline the unboxed load/store inside each of them. *)
 module I32 = struct
   type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -64,12 +68,13 @@ module I32 = struct
     a
 
   external length : t -> int = "%caml_ba_dim_1"
-  let get (t : t) i = Int32.to_int (Bigarray.Array1.get t i)
-  let set (t : t) i v = Bigarray.Array1.set t i (Int32.of_int v)
-  let uget (t : t) i = Int32.to_int (Bigarray.Array1.unsafe_get t i)
-  let uset (t : t) i v = Bigarray.Array1.unsafe_set t i (Int32.of_int v)
-  let fill (t : t) v = Bigarray.Array1.fill t (Int32.of_int v)
-  let to_array t = Array.init (length t) (get t)
+  external get : t -> int -> int32 = "%caml_ba_ref_1"
+  external set : t -> int -> int32 -> unit = "%caml_ba_set_1"
+  external uget : t -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
+
+  let fill (t : t) v = Bigarray.Array1.fill t v
+  let to_array t = Array.init (length t) (fun i -> Int32.to_int (get t i))
 end
 
 module I8 = struct
@@ -98,17 +103,15 @@ module Exchange = struct
      finalizes it — a shards = 1 Gnutella batch holds every query of the
      batch. buffers.(src * shards + dst) is written only by the domain
      running shard [src] during a parallel phase, which is what makes
-     [post] lock-free; [flush] runs after the barrier. *)
-  type events = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-  type buf = { mutable data : events; mutable len : int }
+     [post] lock-free; the engines replay the buffers after the
+     barrier. *)
+  type buf = { mutable data : I32.t; mutable len : int }
 
   type t = { shards : int; buffers : buf array }
 
-  let events len : events = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len
-
   let create ~shards =
     if shards < 1 then invalid_arg "Soa.Exchange.create: shards < 1";
-    let empty = events 0 in
+    let empty = I32.create 0 in
     { shards; buffers = Array.init (shards * shards) (fun _ -> { data = empty; len = 0 }) }
 
   let fits x = Int32.to_int (Int32.of_int x) = x
@@ -117,40 +120,24 @@ module Exchange = struct
     if not (fits a && fits b) then invalid_arg "Soa.Exchange.post: event outside 32 bits";
     let buf = t.buffers.((src * t.shards) + dst) in
     let need = buf.len + 2 in
-    let cap = Bigarray.Array1.dim buf.data in
+    let cap = I32.length buf.data in
     if need > cap then begin
       (* Start small: shards² buffers share a batch, so most hold a few
          events (~2 per buffer per scrip step at n = 10⁴, 64 shards). *)
-      let data = events (max need (max 8 (2 * cap))) in
+      let data =
+        Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max need (max 8 (2 * cap)))
+      in
       for k = 0 to buf.len - 1 do
-        Bigarray.Array1.unsafe_set data k (Bigarray.Array1.unsafe_get buf.data k)
+        I32.uset data k (I32.uget buf.data k)
       done;
       buf.data <- data
     end;
-    Bigarray.Array1.unsafe_set buf.data buf.len (Int32.of_int a);
-    Bigarray.Array1.unsafe_set buf.data (buf.len + 1) (Int32.of_int b);
+    I32.uset buf.data buf.len (Int32.of_int a);
+    I32.uset buf.data (buf.len + 1) (Int32.of_int b);
     buf.len <- need
 
   let pending t =
     Array.fold_left (fun acc buf -> acc + (buf.len / 2)) 0 t.buffers
 
-  let flush t f =
-    let replayed = ref 0 in
-    for src = 0 to t.shards - 1 do
-      for dst = 0 to t.shards - 1 do
-        let buf = t.buffers.((src * t.shards) + dst) in
-        let len = buf.len in
-        let i = ref 0 in
-        let data = buf.data in
-        while !i < len do
-          f ~src ~dst
-            (Int32.to_int (Bigarray.Array1.unsafe_get data !i))
-            (Int32.to_int (Bigarray.Array1.unsafe_get data (!i + 1)));
-          i := !i + 2
-        done;
-        replayed := !replayed + (len / 2);
-        buf.len <- 0
-      done
-    done;
-    !replayed
+  let clear t = Array.iter (fun buf -> buf.len <- 0) t.buffers
 end

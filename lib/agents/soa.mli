@@ -11,16 +11,16 @@
     per-agent boxing, no GC scanning of agent state), the population is
     partitioned into contiguous {e shards} ({!part}), and cross-shard
     interactions accumulate into per-(src, dst) buffers ({!Exchange})
-    that are flushed at batch boundaries in a fixed lexicographic order.
+    that are replayed at batch boundaries in a fixed lexicographic order.
 
     The determinism contract mirrors {!Bn_util.Pool}: a simulation shard
     may read and write {e its own} agents' columns freely during a
     parallel phase and may post events to any destination shard; all
-    cross-shard state changes happen in {!Exchange.flush}, which runs
-    after the parallel barrier and replays events in (src, dst, posting
-    order) — a schedule-independent order. Combined with per-shard
-    {!Bn_util.Prng.split} streams, engine output is byte-identical at
-    any [-j] for a fixed shard count.
+    cross-shard state changes happen in the engine's replay of the
+    {!Exchange} buffers, which runs after the parallel barrier and reads
+    events in (src, dst, posting order) — a schedule-independent order.
+    Combined with per-shard {!Bn_util.Prng.split} streams, engine output
+    is byte-identical at any [-j] for a fixed shard count.
 
     Bigarray access is confined by lint rule P004 to the flat numeric
     kernels; this module and the simulator kernels built on it
@@ -44,7 +44,8 @@ val bounds : part -> int -> int * int
 (** [bounds p s] is the half-open agent range [(lo, hi)] of shard [s]. *)
 
 val shard_of : part -> int -> int
-(** The shard owning agent [i]; O(1), consistent with {!bounds}. *)
+(** The shard owning agent [i]; O(1) and branch-free past the range
+    check, consistent with {!bounds}. *)
 
 (** {1 Columns}
 
@@ -53,13 +54,16 @@ val shard_of : part -> int -> int
     ([uget]/[uset] — for the shard-local hot loops whose indices are
     already confined to [bounds]).
 
-    The column types are concrete and the {!F64}/{!I8} accessors are
-    [external] Bigarray primitives: at a call site that knows the
-    element kind the compiler emits a raw load or store, with nothing
-    boxed and no call — also across the [-opaque] library boundary of
-    dune's dev profile, which stops ordinary functions from being
-    inlined. The {!I32} accessors convert to OCaml [int], so they stay
-    (allocation-free) functions. *)
+    The column types are concrete and every accessor is an [external]
+    Bigarray primitive. dune's dev profile compiles each library with
+    [-opaque], which stops ordinary functions from being inlined across
+    the library boundary: an accessor written as a function is a call
+    per element, and a generic one boxes what it moves. A primitive is
+    expanded at each call site, where the element kind is known, into a
+    raw load or store with nothing boxed and no call. So {!I32} reads
+    and writes [int32], and the caller converts at the call site
+    ([Int32.to_int (I32.uget col i)], [I32.uset col i (Int32.of_int x)]);
+    both conversions are primitives too. *)
 
 module F64 : sig
   type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -79,12 +83,13 @@ module I32 : sig
 
   val create : int -> t
   external length : t -> int = "%caml_ba_dim_1"
-  val get : t -> int -> int
-  val set : t -> int -> int -> unit
-  val uget : t -> int -> int
-  val uset : t -> int -> int -> unit
-  val fill : t -> int -> unit
+  external get : t -> int -> int32 = "%caml_ba_ref_1"
+  external set : t -> int -> int32 -> unit = "%caml_ba_set_1"
+  external uget : t -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
+  val fill : t -> int32 -> unit
   val to_array : t -> int array
+  (** The column as OCaml [int]s. *)
 end
 
 module I8 : sig
@@ -102,11 +107,31 @@ end
 (** {1 Cross-shard event exchange} *)
 
 module Exchange : sig
-  type t
-  (** [shards²] append-only buffers of [(a, b)] integer event pairs.
-      During a parallel phase, the shard that owns [src] is the only
-      writer of every [(src, dst)] buffer, so posting needs no locks and
-      no atomics; the buffers are drained after the barrier. *)
+  type buf = private {
+    mutable data : I32.t;
+    mutable len : int;
+  }
+  (** One append-only [(src, dst)] buffer: [data.{0} … data.{len − 1}]
+      holds its events in posting order, event [k] being the pair
+      [(data.{2k}, data.{2k+1})]; [data] may be longer than [len]. *)
+
+  type t = private {
+    shards : int;
+    buffers : buf array;
+  }
+  (** [shards²] buffers of [(a, b)] integer event pairs, the [(src, dst)]
+      one at [buffers.((src * shards) + dst)]. During a parallel phase,
+      the shard that owns [src] is the only writer of every [(src, dst)]
+      buffer, so posting needs no locks and no atomics.
+
+      After the barrier the engine replays the buffers itself, reading
+      this view: [buffers] in index order, which is (src, dst)
+      lexicographic order, and each buffer's events in posting order.
+      That order is a pure function of what was posted, never of the
+      schedule that posted it. The view is read-only: {!post} is the
+      one writer and {!clear} the one reset. The replay is a plain loop
+      in the engine, so the per-event gates compile inline instead of
+      costing a closure call per event. *)
 
   val create : shards:int -> t
 
@@ -121,10 +146,7 @@ module Exchange : sig
   (** Events currently buffered (all pairs). Call only between parallel
       phases. *)
 
-  val flush : t -> (src:int -> dst:int -> int -> int -> unit) -> int
-  (** Replay every buffered event — (src, dst) pairs in lexicographic
-      order, events within a pair in posting order — then clear all
-      buffers and return the number of events replayed. The replay order
-      is a pure function of what was posted, never of the schedule that
-      posted it. *)
+  val clear : t -> unit
+  (** Empty every buffer, keeping its capacity. Call after the replay,
+      between parallel phases. *)
 end

@@ -9,6 +9,15 @@
 val hash : string -> int64
 (** FNV-1a 64-bit with an extra avalanche round. *)
 
+(** {1 Commitments and signatures}
+
+    A commitment is [hash "commit|<value>|<nonce>"] and a signature
+    [hash "sig|<secret>|<msg>"], the numbers spelled in decimal as
+    [%d]/[%Ld] print them. Neither string is built: the prefix, each
+    field's digits and the message are folded straight into the FNV-1a
+    state, so a commitment allocates only the [int64] it returns, and
+    its value is the same as hashing the formatted string. *)
+
 val hash_ints : int list -> int64
 (** Hash of a list of ints with unambiguous framing. *)
 
@@ -29,6 +38,10 @@ module Pki : sig
 
   val create : Bn_util.Prng.t -> n:int -> t
   (** Fresh key pairs for players [0 … n−1]. *)
+
+  val of_secrets : int64 array -> t
+  (** Keys whose signing secrets are given: player [i] signs with
+      [secrets.(i)]. For fixed test vectors; {!create} draws them. *)
 
   val sign : t -> signer:int -> msg:string -> signature
   val verify : t -> signer:int -> msg:string -> signature -> bool

@@ -38,7 +38,7 @@ let gof_ladder ?(jobs = 1) ?(n_max = 100_000) ~seed () =
       })
     (ladder ~n_max)
 
-let br_grid ~cost = List.init 11 (fun i -> cost *. (0.5 +. (0.1 *. float_of_int i)))
+let br_grid ~cost = Array.init 11 (fun i -> cost *. (0.5 +. (0.1 *. float_of_int i)))
 
 (* Expected utility loss of the cutoff rule "share iff kick > tau"
    relative to the dominant cutoff tau = cost, in closed form for the
@@ -67,17 +67,19 @@ let br_cutoff ~seed ~n ~cost =
   let p = B.Gnutella.default_params ~users:10 in
   let rng = B.Prng.create seed in
   let grid = br_grid ~cost in
-  let sums = Array.make 11 0.0 in
+  let sums = Array.make (Array.length grid) 0.0 in
   for _ = 1 to n do
     let kick =
       B.Gnutella.zipf_sample rng ~scale:p.B.Gnutella.kick_scale
         ~exponent:p.B.Gnutella.zipf_exponent
     in
-    List.iteri (fun i tau -> if kick > tau then sums.(i) <- sums.(i) +. (kick -. cost)) grid
+    for i = 0 to Array.length grid - 1 do
+      if kick > grid.(i) then sums.(i) <- sums.(i) +. (kick -. cost)
+    done
   done;
   let best = ref 0 in
   Array.iteri (fun i s -> if s > sums.(!best) then best := i) sums;
-  (List.nth grid !best, true_regret ~cost (List.nth grid !best))
+  (grid.(!best), true_regret ~cost grid.(!best))
 
 let render_gof ~jobs ~n_max ~seed =
   let tab =

@@ -30,6 +30,7 @@
    into computation, and the Det counter sections never contain times"]
 
 let now_us () = Unix.gettimeofday () *. 1e6
+let cpu_us () = Sys.time () *. 1e6
 
 (* {1 Global switches} *)
 

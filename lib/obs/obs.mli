@@ -27,6 +27,12 @@
 val now_us : unit -> float
 (** Wall-clock microseconds ([Unix.gettimeofday] scaled). Export-only. *)
 
+val cpu_us : unit -> float
+(** Processor time used by the whole process, user plus system, in
+    microseconds ([Sys.time] scaled). For measuring only, like
+    {!now_us}: unlike wall time, it does not count time the host gives
+    to other processes. *)
+
 (** {1 Switches} *)
 
 val set_tracing : bool -> unit

@@ -108,10 +108,20 @@ let simulate ?(jobs = 1) ?(shards = 1) rng params =
           done)
         shard_ids;
       Array.iter (fun c -> cross := !cross + c) cross_tally;
-      let _replayed =
-        Soa.Exchange.flush ex (fun ~src:_ ~dst:_ host inc ->
-            Soa.I32.uset served host (Soa.I32.uget served host + inc))
-      in
+      (* Serve every posted (host, increment) in the exchange's (src,
+         dst, posting order), reading its buffers directly. *)
+      let buffers = ex.Soa.Exchange.buffers in
+      for k = 0 to Array.length buffers - 1 do
+        let { Soa.Exchange.data; len } = buffers.(k) in
+        let i = ref 0 in
+        while !i < len do
+          let host = Int32.to_int (Soa.I32.uget data !i) in
+          let inc = Soa.I32.uget data (!i + 1) in
+          Soa.I32.uset served host (Int32.add (Soa.I32.uget served host) inc);
+          i := !i + 2
+        done
+      done;
+      Soa.Exchange.clear ex;
       incr flushes
     done
   end;

@@ -136,12 +136,12 @@ let simulate rng params ~kinds ~money_per_agent =
      base + 1 exactly when i < extra. *)
   let base = total_money / n and extra = total_money mod n in
   for i = 0 to n - 1 do
-    Soa.I32.uset scrip i (base + if i < extra then 1 else 0)
+    Soa.I32.uset scrip i (Int32.of_int (base + if i < extra then 1 else 0))
   done;
   let utilities = Soa.F64.create n in
   let willing_pred i =
     match kinds.(i) with
-    | Standard k -> Soa.I32.uget scrip i < k
+    | Standard k -> Int32.to_int (Soa.I32.uget scrip i) < k
     | Hoarder | Altruist -> true
   in
   let willing = Array.init n willing_pred in
@@ -160,7 +160,7 @@ let simulate rng params ~kinds ~money_per_agent =
     let wants = match kinds.(chooser) with Hoarder -> false | Standard _ | Altruist -> true in
     if wants then begin
       incr requests;
-      if Soa.I32.uget scrip chooser < 1 then incr starved
+      if Int32.to_int (Soa.I32.uget scrip chooser) < 1 then incr starved
       else begin
         let w = fen.Fenwick.total - if willing.(chooser) then 1 else 0 in
         if w = 0 then incr unserved
@@ -176,8 +176,8 @@ let simulate rng params ~kinds ~money_per_agent =
           match kinds.(volunteer) with
           | Altruist -> ()
           | Standard _ | Hoarder ->
-            Soa.I32.uset scrip chooser (Soa.I32.uget scrip chooser - 1);
-            Soa.I32.uset scrip volunteer (Soa.I32.uget scrip volunteer + 1);
+            Soa.I32.uset scrip chooser (Int32.pred (Soa.I32.uget scrip chooser));
+            Soa.I32.uset scrip volunteer (Int32.succ (Soa.I32.uget scrip volunteer));
             refresh chooser;
             refresh volunteer
         end

@@ -1,7 +1,7 @@
 (* Sharded batched scrip engine on the SoA store. Parallel phase: each
    shard touches only its own agents' columns and posts cross-shard
-   requests to the Exchange; sequential flush after the barrier replays
-   them in (src, dst, posting order). Per-(step, shard) Prng.split
+   requests to the Exchange; after the barrier a sequential loop over
+   the Exchange's buffers executes them in (src, dst, posting order). Per-(step, shard) Prng.split
    streams make the whole run a pure function of (seed, shards) — the
    domain budget never enters. *)
 
@@ -37,10 +37,9 @@ type t = {
   base : Prng.t;  (* never advanced: split per (step, shard) *)
   total_scrip : int;
   k_max : int;
-  (* Per-shard tallies for the parallel phase, 5 slots per shard:
-     requests, satisfied, starved, unserved, cross-shard posts. Each
-     shard writes only its own slots. *)
-  tallies : int array;
+  (* Cross-shard posts of the current step, one slot per shard: each
+     shard writes only its own slot, once, at the end of its draw. *)
+  cross : int array;
   mutable steps : int;
   mutable requests : int;
   mutable satisfied : int;
@@ -79,7 +78,7 @@ let create ?(shards = 64) ~seed ~params ~kind_of ~money_per_agent () =
     (match kind_of i with
     | Scrip.Standard k ->
       Soa.I8.uset kind i k_standard;
-      Soa.I32.uset thresh i k;
+      Soa.I32.uset thresh i (Int32.of_int k);
       if k > !k_max then k_max := k
     | Scrip.Hoarder -> Soa.I8.uset kind i k_hoarder
     | Scrip.Altruist -> Soa.I8.uset kind i k_altruist)
@@ -88,7 +87,7 @@ let create ?(shards = 64) ~seed ~params ~kind_of ~money_per_agent () =
   (* Round-robin deal, closed form (same as Scrip.simulate). *)
   let base_deal = total_scrip / n and extra = total_scrip mod n in
   for i = 0 to n - 1 do
-    Soa.I32.uset scrip i (base_deal + if i < extra then 1 else 0)
+    Soa.I32.uset scrip i (Int32.of_int (base_deal + if i < extra then 1 else 0))
   done;
   {
     params;
@@ -101,7 +100,7 @@ let create ?(shards = 64) ~seed ~params ~kind_of ~money_per_agent () =
     base = Prng.create seed;
     total_scrip;
     k_max = !k_max;
-    tallies = Array.make (Soa.shards part * 5) 0;
+    cross = Array.make (Soa.shards part) 0;
     steps = 0;
     requests = 0;
     satisfied = 0;
@@ -113,39 +112,28 @@ let create ?(shards = 64) ~seed ~params ~kind_of ~money_per_agent () =
 
 let steps_done (t : t) = t.steps
 
-let willing t v =
-  if Soa.I8.uget t.kind v = k_standard then
-    Soa.I32.uget t.scrip v < Soa.I32.uget t.thresh v
-  else true
-
-(* One service: chooser pays benefit's worth, volunteer bears the cost;
-   scrip moves unless the volunteer is an altruist. *)
-let serve t c v =
-  Soa.F64.uset t.util c (Soa.F64.uget t.util c +. t.params.Scrip.benefit);
-  Soa.F64.uset t.util v (Soa.F64.uget t.util v -. t.params.Scrip.cost);
-  if Soa.I8.uget t.kind v <> k_altruist then begin
-    Soa.I32.uset t.scrip c (Soa.I32.uget t.scrip c - 1);
-    Soa.I32.uset t.scrip v (Soa.I32.uget t.scrip v + 1)
-  end
+(* The [v]-th agent other than [c], for a draw [v] in [0, n − 2]: [v]
+   itself below [c], [v + 1] from [c] on. When [v >= c], c − 1 − v is
+   negative, and bit 62 (the sign of a 63-bit int) is what [lsr 62]
+   keeps, so the skip costs no branch on a coin-flip comparison. *)
+let[@inline] skip_self ~chooser:c v = v + ((c - 1 - v) lsr 62)
 
 let step ?(pool = Pool.serial) t =
   Obs.span "scrip_soa.step" (fun () ->
     Obs.timed sk_step_ns @@ fun () ->
     let n = Soa.n t.part and shards = Soa.shards t.part in
-    Array.fill t.tallies 0 (Array.length t.tallies) 0;
     let shard_ids = Array.init shards Fun.id in
     (* Parallel phase: request generation only. Each shard draws nloc
        (chooser, probe) pairs from its own split stream and posts them —
        same-shard pairs included, into the (s, s) buffer. Both draws are
        state-independent, so nothing here reads a column another shard
-       could write; all state changes happen in the flush below. *)
+       could write; all state changes happen in the replay below. *)
     Pool.iter_grid pool
       (fun s ->
         let rng = Prng.split t.base ((t.steps * shards) + s) in
         let lo, hi = Soa.bounds t.part s in
-        let nloc = hi - lo in
-        let off = s * 5 in
-        for _ = 1 to nloc do
+        let cross = ref 0 in
+        for _ = lo to hi - 1 do
           (* Chooser uniform over the whole population, not the shard:
              restricting slot i's chooser to shard s makes that slot's
              kernel favour configurations by shard-local wealth, a
@@ -158,13 +146,13 @@ let step ?(pool = Pool.serial) t =
                volunteers end up uniform among willing agents — the KFH
                conditional law — and the probe pair is independent of
                the evolving balances. *)
-            let v = Prng.int rng (n - 1) in
-            let v = if v >= c then v + 1 else v in
+            let v = skip_self ~chooser:c (Prng.int rng (n - 1)) in
             let dst = Soa.shard_of t.part v in
-            if dst <> s then t.tallies.(off + 4) <- t.tallies.(off + 4) + 1;
+            if dst <> s then incr cross;
             Soa.Exchange.post t.ex ~src:s ~dst c v
           end
-        done)
+        done;
+        t.cross.(s) <- !cross)
       shard_ids;
     (* Barrier passed: execute every request sequentially in the
        Exchange's fixed (src, dst, posting order) replay, evaluating the
@@ -174,32 +162,54 @@ let step ?(pool = Pool.serial) t =
        stationary law is uniform there, hence the {!Steady_state}
        max-entropy marginal. Applying gates at probe time instead
        (e.g. serving same-shard pairs mid-phase) measurably squeezes the
-       stationary histogram toward its middle bins. *)
-    let req = ref 0 and sat = ref 0 and sta = ref 0 and uns = ref 0 and crx = ref 0 in
-    for s = 0 to shards - 1 do
-      crx := !crx + t.tallies.((s * 5) + 4)
+       stationary histogram toward its middle bins. The loop reads the
+       exchange's buffers directly, so each event costs only its gates
+       and column updates: every access below is an inline primitive. *)
+    let scrip = t.scrip and kind = t.kind and thresh = t.thresh and util = t.util in
+    let benefit = t.params.Scrip.benefit and cost = t.params.Scrip.cost in
+    let req = ref 0 and sat = ref 0 and sta = ref 0 and uns = ref 0 in
+    let buffers = t.ex.Soa.Exchange.buffers in
+    for b = 0 to Array.length buffers - 1 do
+      let { Soa.Exchange.data; len } = buffers.(b) in
+      let i = ref 0 in
+      while !i < len do
+        let c = Int32.to_int (Soa.I32.uget data !i) in
+        let v = Int32.to_int (Soa.I32.uget data (!i + 1)) in
+        let bal_c = Int32.to_int (Soa.I32.uget scrip c) in
+        let kind_v = Soa.I8.uget kind v in
+        if bal_c < 1 then incr sta
+        else if
+          kind_v <> k_standard
+          || Int32.to_int (Soa.I32.uget scrip v) < Int32.to_int (Soa.I32.uget thresh v)
+        then begin
+          (* One service: chooser pays benefit's worth, volunteer bears
+             the cost; scrip moves unless the volunteer is an altruist. *)
+          Soa.F64.uset util c (Soa.F64.uget util c +. benefit);
+          Soa.F64.uset util v (Soa.F64.uget util v -. cost);
+          if kind_v <> k_altruist then begin
+            Soa.I32.uset scrip c (Int32.of_int (bal_c - 1));
+            Soa.I32.uset scrip v (Int32.succ (Soa.I32.uget scrip v))
+          end;
+          incr sat
+        end
+        else incr uns;
+        i := !i + 2
+      done;
+      req := !req + (len / 2)
     done;
-    let _replayed =
-      Soa.Exchange.flush t.ex (fun ~src:_ ~dst:_ c v ->
-          incr req;
-          if Soa.I32.uget t.scrip c < 1 then incr sta
-          else if willing t v then begin
-            serve t c v;
-            incr sat
-          end
-          else incr uns)
-    in
+    Soa.Exchange.clear t.ex;
+    let crx = Array.fold_left ( + ) 0 t.cross in
     t.requests <- t.requests + !req;
     t.satisfied <- t.satisfied + !sat;
     t.starved <- t.starved + !sta;
     t.unserved <- t.unserved + !uns;
-    t.cross_shard <- t.cross_shard + !crx;
+    t.cross_shard <- t.cross_shard + crx;
     t.flushes <- t.flushes + 1;
     t.steps <- t.steps + 1;
     Obs.incr c_steps;
     Obs.incr c_flushes;
     Obs.add2 c_requests !req c_satisfied !sat;
-    Obs.add c_cross !crx;
+    Obs.add c_cross crx;
     Obs.observe_sk sk_step_req !req)
 
 let stats t =
@@ -207,7 +217,7 @@ let stats t =
   let dist = Array.make (t.k_max + 2) 0 in
   let kind_sum = [| 0.0; 0.0; 0.0 |] and kind_n = [| 0; 0; 0 |] in
   for i = 0 to n - 1 do
-    let bal = Soa.I32.uget t.scrip i in
+    let bal = Int32.to_int (Soa.I32.uget t.scrip i) in
     let j = if bal > t.k_max then t.k_max + 1 else bal in
     dist.(j) <- dist.(j) + 1;
     let k = Soa.I8.uget t.kind i in
@@ -216,7 +226,7 @@ let stats t =
   done;
   let total = ref 0 in
   for i = 0 to n - 1 do
-    total := !total + Soa.I32.uget t.scrip i
+    total := !total + Int32.to_int (Soa.I32.uget t.scrip i)
   done;
   {
     n;

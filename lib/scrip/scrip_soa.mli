@@ -77,6 +77,12 @@ val step : ?pool:Bn_util.Pool.t -> t -> unit
     law), then the buffers are replayed sequentially. Deterministic for
     any pool size. *)
 
+val skip_self : chooser:int -> int -> int
+(** [skip_self ~chooser v] is the [v]-th agent other than [chooser]: [v]
+    below [chooser], [v + 1] from it on. It turns a probe draw in
+    [\[0, n − 2\]] into one of the [n − 1] other agents, without a
+    branch on [v >= chooser]. *)
+
 val steps_done : t -> int
 
 val stats : t -> soa_stats

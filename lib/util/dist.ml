@@ -1,16 +1,72 @@
 type 'a t = ('a * float) list
 
-(* Merge duplicate values (structural equality) and drop zero-mass points. *)
-let merge pairs =
-  let add acc (x, p) =
-    if p < 0.0 then invalid_arg "Dist: negative weight"
-    else if p = 0.0 then acc
-    else
-      match List.assoc_opt x acc with
-      | None -> (x, p) :: acc
-      | Some q -> (x, p +. q) :: List.remove_assoc x acc
-  in
-  List.rev (List.fold_left add [] pairs)
+(* Merge duplicate values and drop zero-mass points. Values are equal
+   when [compare] says so (List.assoc's test, under which nan equals nan
+   and 0.0 equals -0.0). A merged value takes the place, and the
+   representation, of its last positive-weight occurrence, and its
+   weight is the left-to-right sum. A negative weight raises.
+
+   Short lists — every per-query distribution — merge by a scan of the
+   pairs kept so far, quadratic in the distinct values but cheap in
+   allocation. The scan counts what it has read; a list longer than
+   [scan_limit] is merged again from the start by [merge_long], in time
+   linear in the list. *)
+let scan_limit = 32
+
+let add acc (x, p) =
+  if p < 0.0 then invalid_arg "Dist: negative weight"
+  else if p = 0.0 then acc
+  else
+    match List.assoc_opt x acc with
+    | None -> (x, p) :: acc
+    | Some q -> (x, p +. q) :: List.remove_assoc x acc
+
+(* Each distinct value gets a group number from a hash table
+   (Hashtbl.hash agrees with [compare] on nan and -0.0, and the table
+   compares with [compare]); [group_at.(i)] is the group whose last
+   occurrence so far is pair [i], so reading it in index order gives the
+   merged list in order. *)
+let merge_long pairs =
+  let n = List.length pairs in
+  let index = Hashtbl.create 64 in
+  let keys = Array.make n (fst (List.hd pairs)) and sums = Array.make n 0.0 in
+  let last = Array.make n 0 and group_at = Array.make n (-1) in
+  let groups = ref 0 in
+  List.iteri
+    (fun i (x, p) ->
+      if p < 0.0 then invalid_arg "Dist: negative weight"
+      else if p <> 0.0 then begin
+        let g =
+          match Hashtbl.find index x with
+          | g ->
+            group_at.(last.(g)) <- -1;
+            sums.(g) <- p +. sums.(g);
+            g
+          | exception Not_found ->
+            let g = !groups in
+            incr groups;
+            Hashtbl.add index x g;
+            sums.(g) <- p;
+            g
+        in
+        keys.(g) <- x;
+        last.(g) <- i;
+        group_at.(i) <- g
+      end)
+    pairs;
+  let merged = ref [] in
+  for i = n - 1 downto 0 do
+    let g = group_at.(i) in
+    if g >= 0 then merged := (keys.(g), sums.(g)) :: !merged
+  done;
+  !merged
+
+let rec scan pairs acc read = function
+  | [] -> List.rev acc
+  | _ :: _ when read = scan_limit -> merge_long pairs
+  | pair :: rest -> scan pairs (add acc pair) (read + 1) rest
+
+let merge pairs = scan pairs [] 0 pairs
 
 let of_list pairs =
   let merged = merge pairs in

@@ -261,6 +261,74 @@ let test_hash_ints_framing () =
   Alcotest.(check bool) "framing distinguishes [1;23] from [12;3]" true
     (H.hash_ints [ 1; 23 ] <> H.hash_ints [ 12; 3 ])
 
+(* {1 Commitments and signatures against Printf}
+
+   The library folds each field's decimal spelling into the hash; the
+   oracle formats the string with Printf and hashes it. *)
+
+let edge_ints = [ 0; 1; -1; 9; -9; 10; -10; 11; -11; 99; 100; -100; 999_999_999; min_int; max_int ]
+
+let edge_secrets =
+  [ 0L; 1L; -1L; 9L; -9L; 10L; -10L; 11L; -11L; 0x7FFFFFFFL; Int64.of_int min_int;
+    Int64.of_int max_int; Int64.min_int; Int64.max_int ]
+
+let edge_msgs =
+  [ ""; "|"; "||"; "a|b"; "0"; "0123456789"; "-5"; "\xc3\xa9t\xc3\xa9"; "\xff\x00\x80" ]
+
+let test_commit_matches_printf () =
+  List.iter
+    (fun value ->
+      List.iter
+        (fun nonce ->
+          Alcotest.(check int64)
+            (Printf.sprintf "commit %d %d" value nonce)
+            (Oracles.Hashing.commit ~value ~nonce)
+            (H.Commit.commit ~value ~nonce))
+        edge_ints)
+    edge_ints
+
+let test_sign_matches_printf () =
+  let pki = H.Pki.of_secrets (Array.of_list edge_secrets) in
+  List.iteri
+    (fun signer secret ->
+      List.iter
+        (fun msg ->
+          Alcotest.(check int64)
+            (Printf.sprintf "sign %Ld %S" secret msg)
+            (Oracles.Hashing.sign ~secret ~msg)
+            (H.Pki.sign pki ~signer ~msg))
+        edge_msgs)
+    edge_secrets
+
+let commit_property =
+  QCheck.Test.make ~count:500 ~name:"commit = hash of its Printf string"
+    QCheck.(pair int int)
+    (fun (value, nonce) ->
+      Int64.equal (H.Commit.commit ~value ~nonce) (Oracles.Hashing.commit ~value ~nonce))
+
+let sign_property =
+  QCheck.Test.make ~count:500 ~name:"sign = hash of its Printf string"
+    QCheck.(pair int64 string)
+    (fun (secret, msg) ->
+      let pki = H.Pki.of_secrets [| secret |] in
+      Int64.equal (H.Pki.sign pki ~signer:0 ~msg) (Oracles.Hashing.sign ~secret ~msg))
+
+let hash_property =
+  QCheck.Test.make ~count:500 ~name:"hash = String.iter oracle" QCheck.string (fun s ->
+      Int64.equal (H.hash s) (Oracles.Hashing.hash s))
+
+let test_pki_create_signs_with_drawn_secrets () =
+  (* [create] draws one secret per player from the stream, in order. *)
+  let rng = C.Prng.create 7 in
+  let drawn = C.Prng.copy rng in
+  let pki = H.Pki.create rng ~n:4 in
+  for signer = 0 to 3 do
+    let secret = C.Prng.bits64 drawn in
+    Alcotest.(check int64) "sign with the drawn secret"
+      (Oracles.Hashing.sign ~secret ~msg:"round 1|v=0")
+      (H.Pki.sign pki ~signer ~msg:"round 1|v=0")
+  done
+
 let test_commit_verify () =
   let c = H.Commit.commit ~value:42 ~nonce:777 in
   Alcotest.(check bool) "verifies" true (H.Commit.verify c ~value:42 ~nonce:777);
@@ -326,6 +394,14 @@ let suite =
     QCheck_alcotest.to_alcotest fieldmat_matches_oracle;
     Alcotest.test_case "hash: deterministic" `Quick test_hash_deterministic;
     Alcotest.test_case "hash: framing" `Quick test_hash_ints_framing;
+    Alcotest.test_case "commit: edge values = Printf oracle" `Quick test_commit_matches_printf;
+    Alcotest.test_case "sign: edge secrets and messages = Printf oracle" `Quick
+      test_sign_matches_printf;
+    Alcotest.test_case "sign: created keys = Printf oracle" `Quick
+      test_pki_create_signs_with_drawn_secrets;
+    QCheck_alcotest.to_alcotest commit_property;
+    QCheck_alcotest.to_alcotest sign_property;
+    QCheck_alcotest.to_alcotest hash_property;
     Alcotest.test_case "commitments" `Quick test_commit_verify;
     Alcotest.test_case "pki" `Quick test_pki;
     Alcotest.test_case "fieldmat: solve" `Quick test_fieldmat_solve;

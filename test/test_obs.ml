@@ -539,12 +539,15 @@ let test_scrip_step_alloc_gate () =
     (requests > 0 && words < requests)
 
 (* The acceptance bound: full instrumentation (tracing + timing + GC
-   probes) costs < 5% wall time at experiment scale — the `--profile
-   --all` shape, where spans wrap batches of real work rather than
-   microsecond slivers. The workload below matches that granularity
-   (SoA steps of 20k agents plus a small explorer mix); min-of-N on
-   both sides squeezes out scheduler noise, and Obs.now_us is the
-   sanctioned clock. *)
+   probes) costs < 5% at experiment scale — the `--profile --all` shape,
+   where spans wrap batches of real work rather than microsecond slivers.
+   The workload below matches that granularity (SoA steps of 20k agents
+   plus a small explorer mix). It is measured the way perfbench measures:
+   on the process CPU clock (Obs.cpu_us), so time the host gives to other
+   processes does not count; in pairs of one bare and one instrumented
+   run, back to back, in an order that flips every pair, so a drift in
+   the host's speed hits both sides alike; and by the median of the
+   per-pair ratios, so no single outlier pair decides the verdict. *)
 let test_instrumentation_overhead () =
   let params = { (B.Scrip.default_params ~n:20_000) with B.Scrip.rounds = 0 } in
   let workload () =
@@ -554,37 +557,49 @@ let test_instrumentation_overhead () =
          ~money_per_agent:2.0 ());
     ignore (FS.explore_eig_n3t1 ~seed:42 ~trials:20 ())
   in
-  let time_min n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let t0 = B.Obs.now_us () in
-      f ();
-      let dt = B.Obs.now_us () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+  let instrument on =
+    B.Obs.set_tracing on;
+    B.Obs.set_timing on;
+    B.Obs.set_gc_probes on
   in
-  B.Obs.reset ();
-  workload ();
-  (* warm caches *)
-  let off = time_min 5 workload in
-  B.Obs.set_tracing true;
-  B.Obs.set_timing true;
-  B.Obs.set_gc_probes true;
+  let run instrumented =
+    instrument instrumented;
+    let t0 = B.Obs.cpu_us () in
+    workload ();
+    let dt = B.Obs.cpu_us () -. t0 in
+    instrument false;
+    (* Drop the recorded spans so every instrumented run starts alike. *)
+    B.Obs.reset ();
+    dt
+  in
+  let pairs = 41 in
   Fun.protect
     ~finally:(fun () ->
-      B.Obs.set_tracing false;
-      B.Obs.set_timing false;
-      B.Obs.set_gc_probes false;
+      instrument false;
       B.Obs.reset ())
     (fun () ->
-      workload ();
-      (* warm instrumented paths *)
-      let on = time_min 5 workload in
+      B.Obs.reset ();
+      (* warm caches and both paths *)
+      ignore (run false);
+      ignore (run true);
+      let ratios =
+        List.init pairs (fun k ->
+            if k mod 2 = 0 then begin
+              let off = run false in
+              let on = run true in
+              on /. off
+            end
+            else begin
+              let on = run true in
+              let off = run false in
+              on /. off
+            end)
+      in
+      let median = List.nth (List.sort compare ratios) (pairs / 2) in
       Alcotest.(check bool)
-        (Printf.sprintf "instrumented %.0fus vs bare %.0fus (< 5%% overhead)" on off)
-        true
-        (on < off *. 1.05))
+        (Printf.sprintf "median instrumented/bare CPU ratio %.4f over %d pairs (< 1.05)" median
+           pairs)
+        true (median < 1.05))
 
 (* {1 Summary quantiles (the S6 fix)} *)
 

@@ -256,6 +256,17 @@ let test_gnutella_soa_sharded_shape () =
     (s.G.free_rider_fraction > 0.55 && s.G.free_rider_fraction < 0.85);
   Alcotest.(check bool) "load is concentrated" true (s.G.gini_load > 0.8)
 
+(* {1 The best-response ladder} *)
+
+let br_cutoff_matches_oracle =
+  QCheck.Test.make ~count:60 ~name:"br_cutoff: array grid = list-grid oracle"
+    QCheck.(triple (int_range 0 100_000) (int_range 1 3_000) (float_range 0.1 3.0))
+    (fun (seed, n, cost) ->
+      let cost = if seed mod 3 = 0 then (G.default_params ~users:10).G.cost else cost in
+      let tau, _ = Bn_experiments.Scrip_sweep.br_cutoff ~seed ~n ~cost in
+      Int64.equal (Int64.bits_of_float tau)
+        (Int64.bits_of_float (Oracles.Scrip_sweep.br_cutoff ~seed ~n ~cost)))
+
 let suite =
   [
     Alcotest.test_case "scrip: money conserved" `Quick test_money_conserved;
@@ -279,4 +290,5 @@ let suite =
     QCheck_alcotest.to_alcotest gnutella_soa_bitwise_property;
     QCheck_alcotest.to_alcotest gnutella_soa_jobs_invariant_property;
     Alcotest.test_case "gnutella soa: sharded shape" `Slow test_gnutella_soa_sharded_shape;
+    QCheck_alcotest.to_alcotest br_cutoff_matches_oracle;
   ]

@@ -110,6 +110,70 @@ let test_dist_negative_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Dist: negative weight") (fun () ->
       ignore (B.Dist.of_list [ (1, -1.0); (2, 2.0) ]))
 
+(* [Dist.of_list] and [Dist.uniform] against the quadratic-scan oracle,
+   on lists shorter and longer than the scan's limit (32 pairs). Keys are
+   one-float arrays drawn from a small pool with repeats, holding 0.0 and
+   -0.0 (equal under [compare]: the merged key keeps the last spelling)
+   and nan; weights include zeros of both signs. Results must agree to
+   the bit, keys included. *)
+let dist_keys = [| 0.0; -0.0; Float.nan; 1.0; -1.0; 0.5; 2.0; 1e300; -1e-300 |]
+
+let arb_dist_pairs =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [ map (fun i -> [| dist_keys.(i) |]) (int_range 0 (Array.length dist_keys - 1));
+        map (fun i -> [| float_of_int i |]) (int_range 0 80) ]
+  in
+  let weight =
+    oneof [ return 0.0; return (-0.0); float_range 0.0 4.0; map float_of_int (int_range 1 5) ]
+  in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat "; " (List.map (fun (k, w) -> Printf.sprintf "[|%h|],%h" k.(0) w) l))
+    (list_size (oneof [ int_range 0 40; int_range 0 120 ]) (pair key weight))
+
+let bits = Int64.bits_of_float
+
+let same_dist a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x, p) (y, q) ->
+         Array.length x = Array.length y
+         && Array.for_all2 (fun u v -> Int64.equal (bits u) (bits v)) x y
+         && Int64.equal (bits p) (bits q))
+       a b
+
+let dist_outcome f x = match f x with d -> Ok d | exception Invalid_argument m -> Error m
+
+let dist_of_list_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"dist: of_list = quadratic-merge oracle, bit for bit"
+    arb_dist_pairs (fun pairs ->
+      match
+        (dist_outcome (fun l -> B.Dist.to_list (B.Dist.of_list l)) pairs,
+         dist_outcome Oracles.Dist.of_list pairs)
+      with
+      | Ok a, Ok b -> same_dist a b
+      | Error a, Error b -> a = b
+      | _ -> false)
+
+let dist_uniform_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"dist: uniform = quadratic-merge oracle, bit for bit"
+    QCheck.(map (List.map fst) arb_dist_pairs)
+    (fun keys ->
+      keys = [] || same_dist (B.Dist.to_list (B.Dist.uniform keys)) (Oracles.Dist.uniform keys))
+
+let dist_negative_raises_property =
+  QCheck.Test.make ~count:300 ~name:"dist: a negative weight raises, before and past the scan limit"
+    QCheck.(pair arb_dist_pairs (pair small_nat (float_range 1e-9 3.0)))
+    (fun (pairs, (at, w)) ->
+      let at = at mod (List.length pairs + 1) in
+      let before = List.filteri (fun i _ -> i < at) pairs
+      and after = List.filteri (fun i _ -> i >= at) pairs in
+      let pairs = before @ (([| 7.0 |], -.w) :: after) in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      raises (fun () -> B.Dist.of_list pairs) && raises (fun () -> Oracles.Dist.of_list pairs))
+
 let test_dist_expect () =
   let d = B.Dist.of_list [ (1.0, 1.0); (3.0, 1.0) ] in
   check_float "expectation" 2.0 (B.Dist.expect Fun.id d)
@@ -297,6 +361,9 @@ let suite =
     Alcotest.test_case "dist: merges duplicates" `Quick test_dist_merges_duplicates;
     Alcotest.test_case "dist: rejects empty" `Quick test_dist_empty_rejected;
     Alcotest.test_case "dist: rejects negative" `Quick test_dist_negative_rejected;
+    QCheck_alcotest.to_alcotest dist_of_list_matches_oracle;
+    QCheck_alcotest.to_alcotest dist_uniform_matches_oracle;
+    QCheck_alcotest.to_alcotest dist_negative_raises_property;
     Alcotest.test_case "dist: expectation" `Quick test_dist_expect;
     Alcotest.test_case "dist: bind mass" `Quick test_dist_bind_total_mass;
     Alcotest.test_case "dist: product" `Quick test_dist_product;
