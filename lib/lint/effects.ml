@@ -118,7 +118,7 @@ let is_det_creation body =
     | _ -> false)
   | _ -> false
 
-let bump_ops = [ "incr"; "add"; "add2"; "observe_sk"; "observe"; "set_gauge"; "max_gauge" ]
+let bump_ops = [ "incr"; "add"; "add2"; "observe_sk"; "observe" ]
 
 (* {1 Inference} *)
 
@@ -126,6 +126,10 @@ let in_dir dir file =
   String.length file > String.length dir && String.sub file 0 (String.length dir) = dir
 
 let obs_boundary file = in_dir "lib/obs/" file
+
+(* The pool's worker registry is mutex-guarded synchronization, not data
+   a caller's result can depend on: its [global_mut] stops at the call. *)
+let pool_file file = file = "lib/util/pool.ml"
 
 let kernel_dirs =
   [ "lib/game/"; "lib/lp/"; "lib/robust/"; "lib/byzantine/"; "lib/agents/"; "lib/scrip/";
@@ -187,7 +191,8 @@ let infer g =
      lib/obs are an effect boundary — the instrumentation layer is
      exactly the code audited to leave program output untouched (one
      [Atomic.get] when off), so its internal clock/GC/atomic use must
-     not poison every instrumented caller. *)
+     not poison every instrumented caller. Calls into the pool pass on
+     every effect but [global_mut] ([pool_file]). *)
   let masks = ref seeds in
   let changed = ref true in
   while !changed do
@@ -197,6 +202,7 @@ let infer g =
         match Callgraph.find g e.callee with
         | Some callee when not (obs_boundary callee.Callgraph.file) ->
           let cm = Option.value ~default:0 (SMap.find_opt e.callee !masks) in
+          let cm = if pool_file callee.Callgraph.file then cm land lnot e_mut else cm in
           let m = Option.value ~default:0 (SMap.find_opt e.caller !masks) in
           if m lor cm <> m then begin
             masks := SMap.add e.caller (m lor cm) !masks;

@@ -21,9 +21,9 @@
    domain and summed at read time); a span is a single Atomic.get when
    tracing is off. Span events are collected per-domain through the same
    DLS-sink pattern Bn_util.Out uses, so pool workers never contend on a
-   lock on the hot path. Reads are exact whenever the domains that wrote
-   have been joined (Pool joins its workers before returning), which is
-   the only time the library reads counters back. *)
+   lock on the hot path. Reads are exact once the writes are ordered
+   before them (Pool waits for every chunk of a call before returning),
+   which is the only time the library reads counters back. *)
 
 [@@@lint.allow "D002"
   "span/instant timestamps are Volatile export-only data: nothing reads a clock value back \
@@ -55,19 +55,17 @@ let timing_enabled () = Atomic.get timing
 let set_gc_probes b = Atomic.set gc_probes b
 let gc_probes_enabled () = Atomic.get gc_probes
 
-(* {1 Counter / gauge / histogram registry} *)
+(* {1 Counter / histogram registry} *)
 
 type kind = Det | Volatile
 
 type counter = { cname : string; ckind : kind; cid : int }
-type gauge = { gname : string; gcell : int Atomic.t }
 type hist = { hname : string; hkind : kind; buckets : int Atomic.t array }
 type sketch = { skname : string; skkind : kind; skid : int }
 
 let registry_mu = Mutex.create ()
 let counters_reg : counter list ref = ref []
 let next_cid = ref 0
-let gauges_reg : gauge list ref = ref []
 let hists_reg : hist list ref = ref []
 let sketches_reg : sketch list ref = ref []
 let next_skid = ref 0
@@ -78,41 +76,23 @@ let with_registry f = Mutex.protect registry_mu f
    cells indexed by counter id, registered globally on the domain's first
    bump. A bump is a plain read-modify-write of the domain's own cell —
    no atomic, no lock, no false sharing with other domains. [value] sums
-   the shards; the registry keeps a shard after its domain dies, so
-   counts survive pool teardown, and every library read happens after the
-   writing domains were joined (a full memory barrier; a domain's exit
-   hooks run before its join returns), so sums are exact. A read that
-   races a live writer may miss its latest bumps — harmless for the
-   mid-run informational reads that are the only case.
-
-   A spawned domain hands its shard back when it exits, and the next
-   domain to record takes it over, adding to the counts already there:
-   sums stay exact, and the registry holds as many shards as domains
-   ever recorded at once, not one per domain [Pool] ever spawned. *)
+   the shards. Pool workers live as long as the process, so the registry
+   holds one shard per domain that ever recorded. Every library read
+   happens after the call that wrote returned, and a call returns only
+   after taking the pool's lock that each chunk releases on finishing (a
+   full memory barrier), so sums are exact. A read that races a live
+   writer may miss its latest bumps — harmless for the mid-run
+   informational reads that are the only case. *)
 (* [sk_rows] holds the domain's sketch buckets, one row per sketch id,
    allocated on the domain's first observation of that sketch. *)
 type shard = { mutable cells : int array; mutable sk_rows : int array array }
 
 let shards : shard list ref = ref []
 
-(* Shards of exited domains, written by nobody until taken over. *)
-let idle : shard list ref = ref []
-
 let shard_key : shard Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let s =
-        Mutex.protect registry_mu (fun () ->
-            match !idle with
-            | s :: rest ->
-              idle := rest;
-              s
-            | [] ->
-              let s = { cells = [||]; sk_rows = [||] } in
-              shards := s :: !shards;
-              s)
-      in
-      if not (Domain.is_main_domain ()) then
-        Domain.at_exit (fun () -> Mutex.protect registry_mu (fun () -> idle := s :: !idle));
+      let s = { cells = [||]; sk_rows = [||] } in
+      Mutex.protect registry_mu (fun () -> shards := s :: !shards);
       s)
 
 (* Registration is idempotent by name so a counter can be declared at
@@ -169,23 +149,6 @@ let value c =
     0 ss
 
 let shard_count () = with_registry (fun () -> List.length !shards)
-
-let gauge name =
-  with_registry (fun () ->
-      match List.find_opt (fun g -> g.gname = name) !gauges_reg with
-      | Some g -> g
-      | None ->
-        let g = { gname = name; gcell = Atomic.make 0 } in
-        gauges_reg := g :: !gauges_reg;
-        g)
-
-let set_gauge g v = Atomic.set g.gcell v
-
-let rec max_gauge g v =
-  let cur = Atomic.get g.gcell in
-  if v > cur && not (Atomic.compare_and_set g.gcell cur v) then max_gauge g v
-
-let gauge_value g = Atomic.get g.gcell
 
 (* Power-of-two buckets: bucket [i] counts observations [v] with
    [2^(i-1) <= v < 2^i] (bucket 0 holds v <= 0 and v = 1 shares bucket 1). *)
@@ -575,7 +538,6 @@ let reset () =
           Array.fill s.cells 0 (Array.length s.cells) 0;
           Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) s.sk_rows)
         !shards;
-      List.iter (fun g -> Atomic.set g.gcell 0) !gauges_reg;
       List.iter (fun h -> Array.iter (fun b -> Atomic.set b 0) h.buckets) !hists_reg);
   Mutex.protect sinks_mu (fun () -> List.iter (fun s -> s.evs <- []) !sinks);
   Mutex.protect gc_sinks_mu (fun () ->
@@ -684,10 +646,6 @@ module Export = struct
     kv_section buf "volatile" (counters_snapshot ~kind:Volatile ());
     Buffer.add_string buf ",\n";
     sketch_section buf "sketches_volatile" (sketches_snapshot ~kind:Volatile ());
-    Buffer.add_string buf ",\n";
-    kv_section buf "gauges"
-      (List.sort compare
-         (List.map (fun g -> (g.gname, Atomic.get g.gcell)) (with_registry (fun () -> !gauges_reg))));
     Buffer.add_string buf ",\n";
     let hists = with_registry (fun () -> !hists_reg) in
     Buffer.add_string buf "  \"histograms\": {\n";

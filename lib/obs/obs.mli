@@ -59,13 +59,12 @@ val set_gc_probes : bool -> unit
 
 val gc_probes_enabled : unit -> bool
 
-(** {1 Counters, gauges, histograms} *)
+(** {1 Counters and histograms} *)
 
 type kind = Det  (** deterministic: asserted across [-j] and reruns *)
           | Volatile  (** schedule-dependent: export-only *)
 
 type counter
-type gauge
 type hist
 
 val counter : ?kind:kind -> string -> counter
@@ -80,17 +79,13 @@ val add2 : counter -> int -> counter -> int -> unit
     domain-local lookup — for hot paths that flush two tallies at once. *)
 
 val value : counter -> int
-(** Sum of the per-domain shards; exact after the writers are joined. *)
+(** Sum of the per-domain shards; exact once the writes are ordered
+    before the read (a [Pool] call returns only after all its chunks). *)
 
 val shard_count : unit -> int
-(** Counter and sketch shards in the registry: as many as domains have
-    ever recorded at once. An exited domain's shard, counts included, is
-    taken over by the next domain that records. *)
-
-val gauge : string -> gauge
-val set_gauge : gauge -> int -> unit
-val max_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
+(** Counter and sketch shards in the registry: one per domain that has
+    ever recorded. Pool workers never exit, so repeated pool calls add
+    none. *)
 
 val hist : ?kind:kind -> string -> hist
 (** Power-of-two bucket histogram (bucket boundaries at 2^i). *)
@@ -175,7 +170,7 @@ val events : unit -> event list
     chronological within each domain. *)
 
 val reset : unit -> unit
-(** Zero every counter/gauge/histogram/sketch, drop all recorded events
+(** Zero every counter/histogram/sketch, drop all recorded events
     and GC probe data. *)
 
 val gc_snapshot : unit -> (string * (int * int * int)) list
@@ -194,7 +189,7 @@ module Export : sig
   val metrics_json : unit -> string
   (** Flat snapshot (schema [beyond-nash-metrics/2]): ["counters"] and
       ["sketches"] (Det, sorted — the byte-comparable sections),
-      ["volatile"], ["sketches_volatile"], ["gauges"], ["histograms"],
+      ["volatile"], ["sketches_volatile"], ["histograms"],
       ["gc"], ["spans"]. *)
 end
 

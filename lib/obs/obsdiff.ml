@@ -9,8 +9,8 @@
      the extra v2 columns are informational.
    - metrics ([beyond-nash-metrics/N]): the determinism contract. Det
      ["counters"] and Det ["sketches"] must be bitwise identical;
-     volatile sections, gauges, histograms and gc are informational
-     and ignored.
+     volatile sections, histograms and gc are informational and
+     ignored.
 
    The verdict renders as a human table or as JSON (schema [obsdiff/1])
    so CI can archive it. No dependencies beyond [Obs.Json]. *)

@@ -9,7 +9,9 @@ let c_chunks = Obs.counter ~kind:Obs.Volatile "pool.chunks"
 (* How many items a worker completed outside its own range: pure scheduling
    telemetry, entirely timing-dependent. *)
 let c_steals = Obs.counter ~kind:Obs.Volatile "pool.steals"
-let g_max_domains = Obs.gauge "pool.max_domains"
+
+(* Worker domains started: each once, for the life of the process. *)
+let c_workers_started = Obs.counter ~kind:Obs.Volatile "pool.workers_started"
 let sk_chunk_ns = Obs.sketch ~kind:Obs.Volatile "pool.chunk_ns"
 
 type t = { budget : int }
@@ -28,14 +30,105 @@ let domains t = t.budget
    Chunk boundaries depend only on (n, d), never on timing. *)
 let chunk ~n ~d j = (j * n / d, (j + 1) * n / d)
 
-(* Run [body j] on [d] workers: worker 0 on the calling domain, the rest on
-   fresh domains, all joined before returning. Any exception from a worker
-   is re-raised (spawned workers first, in worker order). *)
+(* {1 The worker set}
+
+   One set of worker domains serves every pool. A worker is spawned at
+   the first call that finds too few idle, never more than
+   [max_workers], and then lives as long as the process: between calls
+   it waits on [wake]. A call posts a job; the caller and whichever
+   workers are idle claim its chunks in index order, so a call never
+   waits for a busy worker to start one, and the caller runs every
+   chunk nobody else took. Everything below [mu] is guarded by it. *)
+
+type job = {
+  body : int -> unit;
+  d : int;
+  mutable next : int;  (* lowest unclaimed chunk *)
+  mutable unfinished : int;
+  errors : exn option array;  (* per chunk *)
+}
+
+(* Every parked domain takes part in each stop-the-world minor
+   collection, which makes serial allocation slower, so the set stays
+   below the core count however large a budget asks. *)
+let max_workers = Domain.recommended_domain_count () - 1
+
+let mu = Mutex.create ()
+let wake = Condition.create ()
+let finished = Condition.create ()
+let registered = Condition.create ()
+let open_jobs : job list ref = ref []
+let started = ref 0
+let ready = ref 0
+let idle = ref 0
+
+let workers () = Mutex.protect mu (fun () -> !started)
+let idle_workers () = Mutex.protect mu (fun () -> !idle)
+
+let run_chunk job j = try job.body j with e -> job.errors.(j) <- Some e
+
+(* Claim chunk [job.next]; [mu] held. *)
+let claim job =
+  let j = job.next in
+  job.next <- j + 1;
+  if job.next = job.d then open_jobs := List.filter (fun o -> o != job) !open_jobs;
+  j
+
+(* Mark a chunk done; [mu] held. *)
+let finish job =
+  job.unfinished <- job.unfinished - 1;
+  if job.unfinished = 0 then Condition.broadcast finished
+
+(* A worker never returns: it runs claimed chunks and parks in between.
+   It counts itself idle in the same critical section that finished its
+   last chunk, so once a call has returned every worker that ran one of
+   its chunks is idle again (or already on another call). *)
+let rec work () =
+  match !open_jobs with
+  | job :: _ ->
+    let j = claim job in
+    Mutex.unlock mu;
+    run_chunk job j;
+    Mutex.lock mu;
+    finish job;
+    work ()
+  | [] ->
+    incr idle;
+    Condition.wait wake mu;
+    decr idle;
+    work ()
+
+let worker () =
+  Obs.incr c_workers_started;
+  Mutex.lock mu;
+  incr ready;
+  Condition.broadcast registered;
+  work ()
+
+(* Spawn [k] workers (slots already reserved in [started]) and wait until
+   each has registered, so the Obs shard it records into exists before
+   the caller goes on. A slot whose spawn fails is given back. *)
+let spawn_workers k =
+  let spawned = ref 0 in
+  (try
+     while !spawned < k do
+       ignore (Domain.spawn worker);
+       incr spawned
+     done
+   with Failure _ -> ());
+  Mutex.protect mu (fun () ->
+      started := !started - (k - !spawned);
+      while !ready < !started do
+        Condition.wait registered mu
+      done)
+
+(* Run [body j] for every chunk [j] in [0, d). Exceptions re-raise once
+   all chunks are done: the lowest-numbered failing chunk in [1, d) first,
+   then chunk 0's. *)
 let run_workers ~d body =
   Obs.incr c_calls;
   Obs.add c_chunks d;
-  Obs.max_gauge g_max_domains d;
-  (* One span per chunk, recorded on the worker's own domain; its wall
+  (* One span per chunk, recorded on the domain that runs it; its wall
      time is the chunk's busy time, also sketched (when timing is on) so
      the chunk-size imbalance shows up as p50-vs-p99 spread. *)
   let body j =
@@ -45,10 +138,32 @@ let run_workers ~d body =
   in
   if d <= 1 then body 0
   else begin
-    let spawned = Array.init (d - 1) (fun i -> Domain.spawn (fun () -> body (i + 1))) in
-    let mine = try Ok (body 0) with e -> Error e in
-    Array.iter Domain.join spawned;
-    match mine with Ok () -> () | Error e -> raise e
+    let job = { body; d; next = 0; unfinished = d; errors = Array.make d None } in
+    Mutex.lock mu;
+    open_jobs := !open_jobs @ [ job ];
+    let spawn = max 0 (min (d - 1 - !idle) (max_workers - !started)) in
+    started := !started + spawn;
+    for _ = 1 to min (d - 1) !idle do
+      Condition.signal wake
+    done;
+    Mutex.unlock mu;
+    if spawn > 0 then spawn_workers spawn;
+    Mutex.lock mu;
+    while job.next < d do
+      let j = claim job in
+      Mutex.unlock mu;
+      run_chunk job j;
+      Mutex.lock mu;
+      finish job
+    done;
+    while job.unfinished > 0 do
+      Condition.wait finished mu
+    done;
+    Mutex.unlock mu;
+    for j = 1 to d - 1 do
+      Option.iter raise job.errors.(j)
+    done;
+    Option.iter raise job.errors.(0)
   end
 
 let effective_domains t n = min t.budget (max 1 n)

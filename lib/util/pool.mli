@@ -1,10 +1,11 @@
 (** Deterministic multicore execution (OCaml 5 domains).
 
     A [Pool.t] is a chunked, work-stealing-free parallel runner: every
-    operation partitions its input into contiguous index ranges, hands one
-    range to each domain, and writes each result into the slot of the index
-    it came from. Because the mapping from input index to result slot is
-    fixed — no queues, no stealing, no completion-order effects — every
+    operation partitions its input into contiguous index ranges (chunks)
+    that depend only on the input length and the pool's budget, and
+    writes each result into the slot of the index it came from. Because
+    the mapping from input index to result slot is fixed — no queues, no
+    stealing, no completion-order effects — every
     operation is {e bit-identical regardless of the number of domains},
     provided the task functions are pure (or, for {!iter_grid}, touch
     disjoint state per index). Combined with {!Prng.split}'s indexed
@@ -12,12 +13,19 @@
     harness parallelize Monte Carlo loops and coalition enumeration without
     ever perturbing a paper table (verified by [test/test_determinism.ml]).
 
-    Domains are spawned per call and joined before the call returns; a
-    pool holds no threads while idle, so pools are cheap to create and
-    never leak. *)
+    Every pool shares one process-wide set of worker domains. A worker is
+    started at the first call that needs it, never by {!create}, and then
+    stays: between calls it is parked on a condition variable. The set
+    never grows past [Domain.recommended_domain_count () - 1] workers,
+    whatever budget a pool asks for, because every parked domain takes
+    part in each stop-the-world minor collection. A call's chunks are
+    claimed in index order by the caller and by whichever workers are
+    idle, so a budget above the worker count (or a call nested inside
+    another call's chunk) runs its remaining chunks on the caller instead
+    of waiting. Which domain ran a chunk never changes the result. *)
 
 type t
-(** A parallelism budget: how many domains an operation may use. *)
+(** A parallelism budget: how many chunks an operation may split into. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the sanctioned way for drivers
@@ -25,22 +33,32 @@ val default_jobs : unit -> int
     confined to this module and {!Bn_obs.Obs} (lint rule P002). *)
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains ()] builds a pool that runs at most [domains] domains
-    at once (including the calling one). Defaults to
-    [Domain.recommended_domain_count ()]. [domains < 1] is clamped to 1. *)
+(** [create ~domains ()] builds a pool whose operations split their
+    input into at most [domains] chunks, run on the calling domain and on
+    idle workers. Defaults to [Domain.recommended_domain_count ()].
+    [domains < 1] is clamped to 1. Starts no domain. *)
 
 val serial : t
 (** The single-domain pool: every operation degenerates to a plain loop on
     the calling domain. *)
 
 val domains : t -> int
-(** The domain budget of the pool. *)
+(** The domain budget of the pool: how many chunks an operation splits
+    its input into (at most one per item). *)
+
+val workers : unit -> int
+(** Worker domains started so far in this process (all pools). *)
+
+val idle_workers : unit -> int
+(** Worker domains parked now, waiting for a call. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f xs] is [List.map f xs] computed on up to [domains pool]
-    domains. Order is preserved; for pure [f] the result is identical to
+(** [map pool f xs] is [List.map f xs] computed in up to [domains pool]
+    chunks. Order is preserved; for pure [f] the result is identical to
     the serial map for every pool size. Exceptions raised by [f] are
-    re-raised in the caller. *)
+    re-raised in the caller once every chunk has finished: if several
+    chunks raise, the lowest-numbered failing chunk after the first wins,
+    then the first chunk's. *)
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}. *)

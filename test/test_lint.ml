@@ -377,6 +377,48 @@ let test_race_allow () =
       Alcotest.(check int) "all four race findings survive as audited" 4
         (List.length suppressed))
 
+(* The pool's own state (its worker registry) is synchronization, so a
+   helper that calls Pool.map_array does not inherit [global_mut] from it
+   and may run inside a parallel closure; a helper's own shared write
+   still fails, and so does the CI canary's captured-ref increment. *)
+let test_pool_effect_boundary () =
+  with_wp_tree
+    ~patch:(fun w ->
+      w "lib/util/pool.ml"
+        "let calls = ref 0\n\
+         let map_array f a = incr calls; Array.map f a\n\
+         let iter_grid ~shards f = for s = 0 to shards - 1 do f s done\n";
+      w "lib/game/nested.ml"
+        "let inner xs = Pool.map_array (fun x -> x + 1) xs\n\
+         let inner_and_bump xs = Helpers.bump \"y\"; inner xs\n\
+         let outer shards = Pool.iter_grid ~shards (fun s -> ignore (inner [| s |]))\n\
+         let leaky shards = Pool.iter_grid ~shards (fun s -> ignore (inner_and_bump [| s |]))\n";
+      w "lib/game/nested.mli"
+        "val inner : int array -> int array\n\
+         val inner_and_bump : int array -> int array\n\
+         val outer : int -> unit\n\
+         val leaky : int -> unit\n";
+      w "lib/util/canary.ml"
+        "let shared_total = ref 0\n\
+         let tally n = Pool.iter_grid ~shards:4 (fun s -> if s < n then incr shared_total)\n";
+      w "lib/util/canary.mli" "val shared_total : int ref\nval tally : int -> unit\n")
+    (fun dir ->
+      let report = L.run ~root:dir in
+      let r001_in file = List.filter (fun (f : F.t) -> f.file = file) (findings_of_rule "R001" report) in
+      (match r001_in "lib/game/nested.ml" with
+      | [ f ] ->
+        Alcotest.(check int) "only the helper with its own write" 4 f.line;
+        Alcotest.(check bool) "names that helper" true (contains f.message "nested.ml#inner_and_bump")
+      | fs -> Alcotest.fail (Printf.sprintf "expected one R001 in nested.ml, got %d" (List.length fs)));
+      (match r001_in "lib/util/canary.ml" with
+      | [ f ] -> Alcotest.(check int) "canary's captured ref" 2 f.line
+      | fs -> Alcotest.fail (Printf.sprintf "expected one R001 in canary.ml, got %d" (List.length fs)));
+      let effects = L.effects_json report in
+      Alcotest.(check bool) "the pool keeps its own global_mut" true
+        (contains effects "\"id\": \"lib/util/pool.ml#map_array\", \"file\": \"lib/util/pool.ml\", \"line\": 2, \"effects\": [\"global_mut\"]");
+      Alcotest.(check bool) "its caller does not inherit it" false
+        (contains effects "lib/game/nested.ml#inner\""))
+
 let test_wp_exports_stable () =
   with_wp_tree (fun dir ->
       let r1 = L.run ~root:dir and r2 = L.run ~root:dir in
@@ -444,6 +486,7 @@ let suite =
     Alcotest.test_case "E001/E002 effect inference" `Quick test_effects_rules;
     Alcotest.test_case "R001/R002/R003 race detection" `Quick test_race_rules;
     Alcotest.test_case "race findings are suppressible and audited" `Quick test_race_allow;
+    Alcotest.test_case "Pool calls do not pass on global_mut" `Quick test_pool_effect_boundary;
     Alcotest.test_case "callgraph/effects exports byte-stable" `Quick test_wp_exports_stable;
     Alcotest.test_case "invalid --root raises" `Quick test_invalid_root;
     Alcotest.test_case "golden --json fixture report" `Quick test_golden_json;

@@ -40,13 +40,6 @@ let test_add2 () =
   Alcotest.(check int) "add2 first cell" (va + 13) (B.Obs.value a);
   Alcotest.(check int) "add2 second cell" (vb + 24) (B.Obs.value b)
 
-let test_gauge () =
-  let g = B.Obs.gauge "test.obs.gauge" in
-  B.Obs.set_gauge g 3;
-  B.Obs.max_gauge g 7;
-  B.Obs.max_gauge g 5;
-  Alcotest.(check int) "max_gauge keeps the maximum" 7 (B.Obs.gauge_value g)
-
 let prop_parallel_sum =
   QCheck.Test.make ~name:"sharded counter sums exactly under Pool" ~count:30
     QCheck.(list_of_size Gen.(1 -- 50) small_nat)
@@ -62,10 +55,10 @@ let prop_parallel_sum =
            (Array.of_list xs));
       B.Obs.value c - before = List.fold_left ( + ) 0 xs)
 
-(* Every domain Pool spawns records into a shard; when the domain exits
-   the next one takes the shard over, so totals stay exact and the
-   registry does not grow with the number of pool calls. *)
-let test_shards_reused () =
+(* Pool workers are started once and parked between calls, each recording
+   into its own shard for good: totals stay exact and the registry does
+   not grow with the number of pool calls. *)
+let test_parked_worker_shards () =
   let c = B.Obs.counter "test.obs.reused" in
   let sk = B.Obs.sketch ~kind:B.Obs.Det "test.obs.reused_sk" in
   let calls = 300 in
@@ -743,9 +736,8 @@ let suite =
   [
     Alcotest.test_case "counter registry" `Quick test_registry;
     Alcotest.test_case "add2 batched update" `Quick test_add2;
-    Alcotest.test_case "gauge max" `Quick test_gauge;
     QCheck_alcotest.to_alcotest prop_parallel_sum;
-    Alcotest.test_case "exited domains' shards are reused" `Quick test_shards_reused;
+    Alcotest.test_case "parked workers keep shards" `Quick test_parked_worker_shards;
     Alcotest.test_case "Det counters: jobs=1 = jobs=4 (E1-E3 + explore)" `Slow
       test_det_jobs_invariant;
     Alcotest.test_case "golden Det snapshot (fixed-seed explore)" `Quick
