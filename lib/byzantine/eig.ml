@@ -1,246 +1,281 @@
-type msg = (int list * int) list
+module Sync_net = Bn_dist_sim.Sync_net
 
-(* The claim tree lives on flat per-level arrays instead of a hashtable of
-   paths: a path [j1; …; jr] (all ids in 0..n−1) is packed as the base-n
-   integer ((j1·n + j2)·n + …)·n + jr, so level r is an int array of size
-   n^r plus a presence bitmap. Packing preserves order — for equal-length
-   paths, ascending code order IS the lexicographic order that
-   [Tbl.sorted_bindings] gave the old hashtable — so the broadcast claim
-   lists, and hence every message and counter downstream, are unchanged.
-   Claims whose paths carry out-of-range ids (only a hand-written adversary
-   could fabricate one; none in the tree does) fall back to [extra], an
-   assoc list merged and re-sorted on read, preserving the old accept-all
-   semantics. *)
-type state = {
+type msg = { level : int; claims : int array }
+
+(* The claim tree lives on flat arrays: a path [j1; …; jr] (all ids in
+   0..n−1) is packed as the base-n integer ((j1·n + j2)·n + …)·n + jr, its
+   code at level r, and level r occupies the n^r slots from [off.(r)] on.
+   Packing preserves order — for equal-length paths ascending code order
+   is the lexicographic order — so a message lists its claims by
+   ascending code. Everything a protocol's runs share is in [tables],
+   built once and never written again: the powers n^r, the level offsets,
+   per level r ≤ t the set of ids each code's path holds as a bitset (ids
+   < 63), and the codes of the level's paths of distinct ids, the nodes
+   that the decision resolves. *)
+type tables = {
   n : int;
   t : int;
-  default : int;
-  me : int;
-  levels_v : int array array; (* levels_v.(r).(code): value at packed path *)
-  levels_p : Bytes.t array; (* presence bitmap, same indexing *)
-  extra : (int list * int) list ref; (* out-of-range paths, newest first *)
+  size : int array; (* size.(r) = n^r, r = 0..t+1 *)
+  off : int array; (* off.(r) = n^0 + … + n^(r−1), r = 0..t+2 *)
+  digits : int array array; (* digits.(r).(code): bitset of the path's ids, r = 0..t *)
+  nodes : int array array; (* nodes.(r): codes of distinct-id paths, ascending, r = 0..t *)
 }
 
-(* Decode [code] at level [r] back into the path list (most significant
-   digit = first relayer). *)
-let decode_path n r code =
-  let rec go r code acc = if r = 0 then acc else go (r - 1) (code / n) ((code mod n) :: acc) in
-  go r code []
+(* One run's tree: the values of levels 0..t in [vals], presence of levels
+   0..t+1 in [pres], and the leaf level t+1 split by its last relayer —
+   the value at code c·n + s is [leaf.(s).(c)], the default until a claim
+   arrives — so no array holds more than n^t words (a 343-word leaf level
+   at n = 7, t = 2 would go straight to the major heap, once per process
+   per run). *)
+type state = {
+  tb : tables;
+  default : int;
+  me : int;
+  vals : int array;
+  pres : Bytes.t;
+  leaf : int array array;
+}
 
-(* Does the packed level-[r] code contain digit [id]? Equivalent to
-   [List.mem id path] on the decoded path, without decoding. *)
-let code_mem n id r code =
-  let c = ref code and found = ref false in
-  for _ = 1 to r do
-    if !c mod n = id then found := true;
-    c := !c / n
+let tables ~n ~t =
+  let size = Array.make (t + 2) 1 in
+  for r = 1 to t + 1 do
+    size.(r) <- size.(r - 1) * n
   done;
-  !found
+  let off = Array.make (t + 3) 0 in
+  for r = 1 to t + 2 do
+    off.(r) <- off.(r - 1) + size.(r - 1)
+  done;
+  let digits = Array.make (t + 1) [| 0 |] in
+  for r = 1 to t do
+    let up = digits.(r - 1) in
+    digits.(r) <- Array.init size.(r) (fun code -> up.(code / n) lor (1 lsl (code mod n)))
+  done;
+  (* A path of r ids holds r distinct ones iff its bitset has r bits. *)
+  let rec bits x = if x = 0 then 0 else 1 + bits (x land (x - 1)) in
+  let nodes =
+    Array.init (t + 1) (fun r ->
+        Array.of_list (List.filter (fun code -> bits digits.(r).(code) = r) (List.init size.(r) Fun.id)))
+  in
+  { n; t; size; off; digits; nodes }
 
-(* Claims at level [r] whose path does not contain [me], sorted by path —
-   a pure function of the tree's contents, as the broadcast message must
-   be. Codes are scanned in ascending order (= lex order on fixed-length
-   paths) and only the survivors are decoded. *)
-let send_entries st r ~me =
-  if r < 0 || r >= Array.length st.levels_v then
-    List.filter
-      (fun (path, _) -> List.length path = r && not (List.mem me path))
-      (List.rev !(st.extra))
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+let holds tb r code id =
+  if r <= tb.t then tb.digits.(r).(code) land (1 lsl id) <> 0
+  else code mod tb.n = id || tb.digits.(tb.t).(code / tb.n) land (1 lsl id) <> 0
+
+let value st r code =
+  if r <= st.tb.t then st.vals.(st.tb.off.(r) + code)
+  else st.leaf.(code mod st.tb.n).(code / st.tb.n)
+
+(* Claims at level [r] whose path does not hold [me], by ascending code:
+   a pure function of the tree's contents, as the broadcast must be. *)
+let send_claims st r =
+  if r < 0 || r > st.tb.t + 1 then [||]
   else begin
-    let vals = st.levels_v.(r) and pres = st.levels_p.(r) in
-    let acc = ref [] in
-    for code = Bytes.length pres - 1 downto 0 do
-      if Bytes.unsafe_get pres code <> '\000' && not (code_mem st.n me r code) then
-        acc := (decode_path st.n r code, vals.(code)) :: !acc
+    let base = st.tb.off.(r) and size = st.tb.size.(r) in
+    let keep =
+      if r > st.tb.t then fun code -> not (holds st.tb r code st.me)
+      else begin
+        let digits = st.tb.digits.(r) and bit = 1 lsl st.me in
+        fun code -> Array.unsafe_get digits code land bit = 0
+      end
+    in
+    let count = ref 0 in
+    for code = 0 to size - 1 do
+      if Bytes.unsafe_get st.pres (base + code) <> '\000' && keep code then incr count
     done;
-    match
-      List.filter
-        (fun (path, _) -> List.length path = r && not (List.mem me path))
-        !(st.extra)
-    with
-    | [] -> !acc
-    | ex -> List.sort (fun (a, _) (b, _) -> compare a b) (List.rev_append ex !acc)
+    let claims = Array.make (2 * !count) 0 in
+    let i = ref 0 in
+    for code = 0 to size - 1 do
+      if Bytes.unsafe_get st.pres (base + code) <> '\000' && keep code then begin
+        claims.(!i) <- code;
+        claims.(!i + 1) <- value st r code;
+        i := !i + 2
+      end
+    done;
+    claims
   end
 
-(* Pack [path] as a base-n code, expecting exactly [expect] digits, none
-   equal to [sender] and all in 0..n−1. Returns the code (≥ 0), or −1 when
-   the claim must be ignored (wrong length or relayed through [sender]), or
-   −2 when some id is out of range (caller re-validates and falls back to
-   [extra]). Allocation-free: this runs once per received claim. *)
-let rec walk_code n sender expect path code =
-  match path with
-  | [] -> if expect = 0 then code else -1
-  | j :: rest ->
-    if expect = 0 || j = sender then -1
-    else if j < 0 || j >= n then -2
-    else walk_code n sender (expect - 1) rest ((code * n) + j)
+(* Stores [sender]'s level-(round−1) claims at level [round], extended by
+   [sender]; the first claim for a path wins. A claim is ignored when its
+   code names no level-(round−1) path or its path already holds
+   [sender]. *)
+let absorb st round sender claims =
+  let tb = st.tb and level = round - 1 in
+  let size = tb.size.(level) and digits = tb.digits.(level) and bit = 1 lsl sender in
+  let at = tb.off.(round) + sender and leafy = round > tb.t in
+  let row = if leafy then st.leaf.(sender) else st.vals in
+  (* Every index below is in range: [code] is checked against the level's
+     size, and [p] lies in level [round]. *)
+  for i = 0 to (Array.length claims / 2) - 1 do
+    let code = Array.unsafe_get claims (2 * i) in
+    if code >= 0 && code < size && Array.unsafe_get digits code land bit = 0 then begin
+      let p = at + (code * tb.n) in
+      if Bytes.unsafe_get st.pres p = '\000' then begin
+        Bytes.unsafe_set st.pres p '\001';
+        Array.unsafe_set row (if leafy then code else p) (Array.unsafe_get claims ((2 * i) + 1))
+      end
+    end
+  done
+
+let rec absorb_inbox st round = function
+  | [] -> ()
+  | (sender, m) :: rest ->
+    if m.level = round - 1 then absorb st round sender m.claims;
+    absorb_inbox st round rest
+
+(* The value held by a strict majority of [votes.(0 .. nv−1)], else
+   [default]. Most nodes are unanimous, so the votes are first compared
+   with the first one; on a mismatch Boyer–Moore goes on from that prefix
+   (a strict majority is unique, and it is the one candidate left after
+   the pairing pass). *)
+let majority (votes : int array) nv default =
+  if nv = 0 then default
+  else begin
+    let v0 = votes.(0) in
+    let same = ref 1 in
+    while !same < nv && votes.(!same) = v0 do
+      incr same
+    done;
+    if !same = nv then v0
+    else begin
+      let cand = ref v0 and lead = ref !same in
+      for i = !same to nv - 1 do
+        if !lead = 0 then begin
+          cand := votes.(i);
+          lead := 1
+        end
+        else if votes.(i) = !cand then incr lead
+        else decr lead
+      done;
+      let c = ref 0 in
+      for i = 0 to nv - 1 do
+        if votes.(i) = !cand then incr c
+      done;
+      if 2 * !c > nv then !cand else default
+    end
+  end
+
+(* Majority resolution, bottom up over the nodes of distinct ids: a node
+   at level t votes over its leaves (a missing leaf holds the default), a
+   node above over its children's results, kept in [res] at the nodes'
+   [vals] slots; the root's result is the decision. *)
+let decide st =
+  let tb = st.tb and default = st.default in
+  let n = tb.n and t = tb.t in
+  if t = 0 then if Bytes.get st.pres 0 <> '\000' then st.vals.(0) else default
+  else begin
+    let res = Array.make tb.off.(t + 1) default in
+    let votes = Array.make n 0 in
+    let at = tb.off.(t) and nodes = tb.nodes.(t) and digits = tb.digits.(t) in
+    for i = 0 to Array.length nodes - 1 do
+      let code = nodes.(i) in
+      let held = digits.(code) in
+      let nv = ref 0 in
+      for l = 0 to n - 1 do
+        if held land (1 lsl l) = 0 then begin
+          votes.(!nv) <- st.leaf.(l).(code);
+          incr nv
+        end
+      done;
+      res.(at + code) <- majority votes !nv default
+    done;
+    for r = t - 1 downto 0 do
+      let nodes = tb.nodes.(r) and digits = tb.digits.(r) in
+      let at = tb.off.(r) and below = tb.off.(r + 1) in
+      for i = 0 to Array.length nodes - 1 do
+        let code = nodes.(i) in
+        let held = digits.(code) and base = below + (code * n) in
+        let nv = ref 0 in
+        for l = 0 to n - 1 do
+          if held land (1 lsl l) = 0 then begin
+            votes.(!nv) <- res.(base + l);
+            incr nv
+          end
+        done;
+        res.(at + code) <- majority votes !nv default
+      done
+    done;
+    res.(0)
+  end
 
 let protocol ~n ~t ~values ~default =
+  let tb = tables ~n ~t in
   let init me =
-    let pow_n r =
-      let p = ref 1 in
-      for _ = 1 to r do
-        p := !p * n
-      done;
-      !p
-    in
-    let levels_v = Array.init (t + 2) (fun r -> Array.make (pow_n r) 0) in
-    let levels_p = Array.init (t + 2) (fun r -> Bytes.make (Array.length levels_v.(r)) '\000') in
-    levels_v.(0).(0) <- values.(me);
-    Bytes.set levels_p.(0) 0 '\001';
-    { n; t; default; me; levels_v; levels_p; extra = ref [] }
+    let vals = Array.make tb.off.(t + 1) 0 in
+    let pres = Bytes.make tb.off.(t + 2) '\000' in
+    let leaf = Array.init n (fun _ -> Array.make tb.size.(t) default) in
+    vals.(0) <- values.(me);
+    Bytes.set pres 0 '\001';
+    { tb; default; me; vals; pres; leaf }
   in
   let send ~round ~me:_ st =
     (* Broadcast all claims at level round-1 whose path doesn't contain me;
        the root claim (own value) goes out in round 1. *)
-    let entries = send_entries st (round - 1) ~me:st.me in
-    if entries = [] then [] else [ (Bn_dist_sim.Sync_net.All, entries) ]
+    let claims = send_claims st (round - 1) in
+    if Array.length claims = 0 then [] else [ (Sync_net.All, { level = round - 1; claims }) ]
   in
   let recv ~round ~me:_ st inbox =
-    let max_level = st.t + 1 in
-    let rec claims_loop sender = function
-      | [] -> ()
-      | (path, v) :: rest ->
-        let code = walk_code st.n sender (round - 1) path 0 in
-        if code >= 0 then begin
-          (* level of the extended path = round. *)
-          if round <= max_level then begin
-            let ext = (code * st.n) + sender in
-            if Bytes.get st.levels_p.(round) ext = '\000' then begin
-              st.levels_v.(round).(ext) <- v;
-              Bytes.set st.levels_p.(round) ext '\001'
-            end
-          end
-        end
-        else if
-          code = -2
-          && List.length path = round - 1
-          && not (List.mem sender path)
-        then begin
-          let extended = path @ [ sender ] in
-          if List.length extended <= max_level && not (List.mem_assoc extended !(st.extra))
-          then st.extra := (extended, v) :: !(st.extra)
-        end;
-        claims_loop sender rest
-    in
-    List.iter (fun (sender, claims) -> claims_loop sender claims) inbox;
+    if round >= 1 && round <= t + 1 then absorb_inbox st round inbox;
     st
   in
-  let output ~me:_ st =
-    (* Recursive majority resolution from the leaves down to the root.
-       [mask] tracks the ids already on the path (n ≤ word size); children
-       are visited in ascending id order, and the strict-majority winner is
-       unique, so a linear scan matches the old sorted-table lookup. *)
-    (* One vote buffer per depth: the recursion below fills a depth's buffer
-       while the parent's is still live, so depths can't share scratch. At
-       any moment at most one call per depth is active. *)
-    let vote_scratch = Array.init (st.t + 2) (fun _ -> Array.make st.n 0) in
-    let rec resolve code mask len =
-      if len = st.t + 1 then
-        if Bytes.get st.levels_p.(len) code <> '\000' then st.levels_v.(len).(code)
-        else st.default
-      else begin
-        let votes = vote_scratch.(len) in
-        let nv = ref 0 in
-        for l = 0 to st.n - 1 do
-          if mask land (1 lsl l) = 0 then begin
-            votes.(!nv) <- resolve ((code * st.n) + l) (mask lor (1 lsl l)) (len + 1);
-            incr nv
-          end
-        done;
-        let threshold = !nv / 2 in
-        let winner = ref st.default in
-        let found = ref false in
-        let i = ref 0 in
-        while (not !found) && !i < !nv do
-          let v = votes.(!i) in
-          let c = ref 0 in
-          for j = 0 to !nv - 1 do
-            if votes.(j) = v then incr c
-          done;
-          if !c > threshold then begin
-            winner := v;
-            found := true
-          end;
-          incr i
-        done;
-        !winner
-      end
-    in
-    if st.t = 0 then
-      Some (if Bytes.get st.levels_p.(0) 0 <> '\000' then st.levels_v.(0).(0) else st.default)
-    else begin
-      (* The root's children are all n ids; [resolve] needs its own vote
-         scratch per level, so give the root a separate buffer. *)
-      let root_votes = Array.init st.n (fun l -> resolve l (1 lsl l) 1) in
-      let threshold = st.n / 2 in
-      let winner = ref st.default in
-      let found = ref false in
-      let i = ref 0 in
-      while (not !found) && !i < st.n do
-        let v = root_votes.(!i) in
-        let c = ref 0 in
-        Array.iter (fun x -> if x = v then incr c) root_votes;
-        if !c > threshold then begin
-          winner := v;
-          found := true
-        end;
-        incr i
-      done;
-      Some !winner
-    end
-  in
-  { Bn_dist_sim.Sync_net.init; send; recv; output }
+  let output ~me:_ st = Some (decide st) in
+  { Sync_net.init; send; recv; output }
 
 let run ?adversary ?faults ~n ~t ~values ~default () =
-  Bn_dist_sim.Sync_net.run ?adversary ?faults ~n ~rounds:(t + 1) (protocol ~n ~t ~values ~default)
+  Sync_net.run ?adversary ?faults ~n ~rounds:(t + 1) (protocol ~n ~t ~values ~default)
 
-(* All paths of distinct ids not containing [me], of a given length, over
-   processes 0..n-1. Used by adversaries to fabricate claims. *)
-let paths_of_length n length =
-  let rec go len acc_paths =
-    if len = 0 then acc_paths
+(* Codes, ascending, of the level-[level] paths of distinct ids in
+   0..n−1 that avoid [me]: what adversaries fabricate claims for. *)
+let distinct_codes ~n ~level ~me =
+  let acc = ref [] in
+  let rec go depth code mask =
+    if depth = level then acc := code :: !acc
     else
-      go (len - 1)
-        (List.concat_map
-           (fun path ->
-             List.filter_map
-               (fun j -> if List.mem j path then None else Some (path @ [ j ]))
-               (List.init n Fun.id))
-           acc_paths)
+      for j = 0 to n - 1 do
+        if mask land (1 lsl j) = 0 && j <> me then go (depth + 1) ((code * n) + j) (mask lor (1 lsl j))
+      done
   in
-  go length [ [] ]
+  go 0 0 0;
+  Array.of_list (List.rev !acc)
+
+(* A level-[level] message claiming [value code] for every code, drawn in
+   ascending code order. *)
+let fabricate ~level codes value =
+  let claims = Array.make (2 * Array.length codes) 0 in
+  Array.iteri
+    (fun i code ->
+      claims.(2 * i) <- code;
+      claims.((2 * i) + 1) <- value code)
+    codes;
+  { level; claims }
 
 let lying_adversary ~n ~corrupted ~claim =
   let behave ~round ~me ~inbox:_ =
     (* Claim at level round-1 that every path led to [claim]. *)
-    let entries =
-      List.filter_map
-        (fun path -> if List.mem me path then None else Some (path, claim))
-        (paths_of_length n (round - 1))
-    in
-    if entries = [] then [] else [ (Bn_dist_sim.Sync_net.All, entries) ]
+    let codes = distinct_codes ~n ~level:(round - 1) ~me in
+    if Array.length codes = 0 then []
+    else [ (Sync_net.All, fabricate ~level:(round - 1) codes (fun _ -> claim)) ]
   in
-  { Bn_dist_sim.Sync_net.corrupted; behave }
+  { Sync_net.corrupted; behave }
 
 let equivocating_adversary ~n ~corrupted rng =
   let behave ~round ~me ~inbox:_ =
-    List.filter_map
-      (fun dest ->
-        let entries =
-          List.filter_map
-            (fun path ->
-              if List.mem me path then None else Some (path, Bn_util.Prng.int rng 2))
-            (paths_of_length n (round - 1))
-        in
-        if entries = [] then None else Some (Bn_dist_sim.Sync_net.To dest, entries))
-      (List.init n Fun.id)
+    let codes = distinct_codes ~n ~level:(round - 1) ~me in
+    if Array.length codes = 0 then []
+    else begin
+      (* Draws go recipient by recipient, each message's in code order. *)
+      let out = ref [] in
+      for dest = 0 to n - 1 do
+        let m = fabricate ~level:(round - 1) codes (fun _ -> Bn_util.Prng.int rng 2) in
+        out := (Sync_net.To dest, m) :: !out
+      done;
+      List.rev !out
+    end
   in
-  { Bn_dist_sim.Sync_net.corrupted; behave }
+  { Sync_net.corrupted; behave }
 
 let agreement result =
-  let decided = List.filter_map Fun.id (Array.to_list result.Bn_dist_sim.Sync_net.outputs) in
+  let decided = List.filter_map Fun.id (Array.to_list result.Sync_net.outputs) in
   match decided with [] -> true | v :: rest -> List.for_all (( = ) v) rest
 
 let validity ~honest_values result =
@@ -250,5 +285,5 @@ let validity ~honest_values result =
     if List.for_all (( = ) v) rest then
       Array.for_all
         (function None -> true | Some d -> d = v)
-        result.Bn_dist_sim.Sync_net.outputs
+        result.Sync_net.outputs
     else true

@@ -12,8 +12,15 @@
     mediator characterization (the n ≤ 3k+3t impossibility {e is} the
     t < n/3 bound). *)
 
-type msg = (int list * int) list
-(** Round-[r] payload: claims [(path, value)] with [|path| = r − 1]. *)
+type msg = { level : int; claims : int array }
+(** Round-[r] payload: claims about the paths of [level = r − 1] relayers,
+    as flat [(code, value)] pairs. A path [j1; …; jl] of ids in 0..n−1 is
+    packed as its base-n code ((j1·n + j2)·n + …)·n + jl, so a code is
+    always in [0, n^level) and names only in-range ids; honest messages
+    list their claims by ascending code (the lexicographic order of the
+    paths). A receiver ignores a message whose [level] is not the round's,
+    and any claim whose code is negative, at least n^level, or whose path
+    already holds the sender; the first claim for a path wins. *)
 
 type state
 

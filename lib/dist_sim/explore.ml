@@ -63,23 +63,28 @@ let failures sys schedule =
    invariant violation (not necessarily the original one: any
    counterexample is a counterexample). Terminates because each step
    strictly shrinks the schedule; the pair pass escapes plateaus where two
-   events are individually redundant but jointly load-bearing. *)
-let shrink sys schedule =
+   events are individually redundant but jointly load-bearing. Starts from
+   [schedule] and the invariants it breaks, [failed]; returns the shrunk
+   schedule with the invariants it breaks (the last accepted candidate's,
+   or [failed] when none was accepted), and the number of candidates
+   evaluated. *)
+let shrink sys schedule failed =
   (* [evals] counts candidate evaluations — the dominant cost of
      shrinking — and is returned alongside the minimized schedule. *)
   let evals = ref 0 in
-  let still_violates s =
+  let violated s =
     incr evals;
-    failures sys s <> []
+    match failures sys s with [] -> None | failed -> Some (s, failed)
   in
   let without iys s = List.filteri (fun j _ -> not (List.mem j iys)) s in
-  let rec go s =
+  let rec go s failed =
     let k = List.length s in
     let rec try_singles i =
       if i >= k then None
       else
-        let candidate = without [ i ] s in
-        if still_violates candidate then Some candidate else try_singles (i + 1)
+        match violated (without [ i ] s) with
+        | Some _ as smaller -> smaller
+        | None -> try_singles (i + 1)
     in
     let try_pairs () =
       let rec outer i =
@@ -88,20 +93,21 @@ let shrink sys schedule =
           let rec inner j =
             if j >= k then outer (i + 1)
             else
-              let candidate = without [ i; j ] s in
-              if still_violates candidate then Some candidate else inner (j + 1)
+              match violated (without [ i; j ] s) with
+              | Some _ as smaller -> smaller
+              | None -> inner (j + 1)
           in
           inner (i + 1)
       in
       outer 0
     in
     match try_singles 0 with
-    | Some smaller -> go smaller
-    | None -> ( match try_pairs () with Some smaller -> go smaller | None -> s)
+    | Some (smaller, failed) -> go smaller failed
+    | None -> ( match try_pairs () with Some (smaller, failed) -> go smaller failed | None -> (s, failed))
   in
-  let shrunk = go schedule in
+  let shrunk, shrunk_failed = go schedule failed in
   Obs.add c_shrink_evals !evals;
-  (shrunk, !evals)
+  (shrunk, shrunk_failed, !evals)
 
 let explore ?(pool = Bn_util.Pool.serial) ~seed ~trials ~gen sys =
   if trials <= 0 then invalid_arg "Explore.explore: need trials > 0";
@@ -120,10 +126,9 @@ let explore ?(pool = Bn_util.Pool.serial) ~seed ~trials ~gen sys =
         | [] -> None
         | failed ->
           Obs.incr c_violations;
-          let shrunk, shrink_evals = shrink sys schedule in
+          let shrunk, shrunk_failed, shrink_evals = shrink sys schedule failed in
           Obs.observe_sk sk_shrink_evals shrink_evals;
-          Some
-            { trial; schedule; failed; shrunk; shrunk_failed = failures sys shrunk; shrink_evals })
+          Some { trial; schedule; failed; shrunk; shrunk_failed; shrink_evals })
       (Array.init trials Fun.id)
   in
   { seed; trials; violations = List.filter_map Fun.id (Array.to_list outcomes) }

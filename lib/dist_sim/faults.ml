@@ -75,63 +75,116 @@ let mask schedule outputs =
   let bad = culprits schedule in
   Array.mapi (fun i o -> if List.mem i bad then None else o) outputs
 
+(* {1 Partitions}
+
+   A partition as, per process it lists, the index of the first group
+   holding it (-1 for none). Two processes share a group iff both have an
+   index and the indices are equal, or neither has one and they are the
+   same process (isolated, unlisted processes are their own singleton
+   group). The one reading of partition groups, for both networks. *)
+let group_index groups =
+  let top = List.fold_left (List.fold_left max) (-1) groups in
+  let idx = Array.make (top + 1) (-1) in
+  List.iteri
+    (fun gi g -> List.iter (fun v -> if v >= 0 && idx.(v) < 0 then idx.(v) <- gi) g)
+    groups;
+  idx
+
+let separated idx a b =
+  let ga = if a < Array.length idx then idx.(a) else -1 in
+  let gb = if b < Array.length idx then idx.(b) else -1 in
+  if ga < 0 && gb < 0 then a <> b else ga <> gb
+
 (* {1 Compiling a schedule to a synchronous fault plan} *)
 
-let same_group groups a b =
-  (* Isolated (unlisted) processes are their own singleton group. *)
-  match
-    ( List.find_opt (List.mem a) groups,
-      List.find_opt (List.mem b) groups )
-  with
-  | Some ga, Some gb -> ga == gb
-  | None, None -> a = b
-  | _ -> false
-
+(* The schedule is compiled once: the round each process crash-stops in,
+   and the link events (partitions with their group index) in schedule
+   order. Each round keeps the events active in it; Sync_net builds its
+   mask of touched links from them and asks [deliver] only for those
+   links, which folds the round's matching events, in schedule order, over
+   the intact singleton delivery. *)
 let plan ?corrupt schedule =
-  let crashed ~round p =
-    List.exists (function Crash { proc; round = r0 } -> proc = p && round >= r0 | _ -> false) schedule
+  let top =
+    List.fold_left (fun acc -> function Crash { proc; _ } -> max acc proc | _ -> acc) (-1) schedule
   in
-  let on_link ~round ~src ~dst m =
-    (* Fold the schedule's matching events, in order, over the delivery
-       list; start from the intact singleton delivery. Each applied event
-       bumps the (deterministic) counter and, when tracing, leaves an
-       instant on the trace timeline. *)
-    let applied = ref 0 in
-    let hit name =
-      incr applied;
-      Obs.instant name
-        ~args:(fun () -> [ ("round", Obs.I round); ("src", Obs.I src); ("dst", Obs.I dst) ])
-    in
-    let deliveries =
-      List.fold_left
-        (fun deliveries ev ->
-          match ev with
-          | Drop { round = r; src = s; dst = d } when r = round && s = src && d = dst ->
-            hit "fault.drop";
-            []
-          | Duplicate { round = r; src = s; dst = d } when r = round && s = src && d = dst ->
-            hit "fault.dup";
-            List.concat_map (fun x -> [ x; x ]) deliveries
-          | Delay { round = r; src = s; dst = d; by } when r = round && s = src && d = dst ->
-            hit "fault.delay";
-            List.map (fun (r', m') -> (r' + max 0 by, m')) deliveries
-          | Partition { from_round; heal_round; groups }
-            when round >= from_round && round < heal_round && not (same_group groups src dst) ->
-            hit "fault.partition";
-            []
-          | Corrupt { round = r; src = s; dst = d } when r = round && s = src && d = dst -> (
-            hit "fault.corrupt";
-            match corrupt with
-            | None -> deliveries
-            | Some f -> List.map (fun (r', m') -> (r', f ~round ~src ~dst m')) deliveries)
-          | Drop _ | Duplicate _ | Delay _ | Crash _ | Partition _ | Corrupt _ -> deliveries)
-        [ (round, m) ]
-        schedule
-    in
-    Obs.add c_link_events !applied;
-    deliveries
+  let crash_round = Array.make (top + 1) max_int in
+  List.iter
+    (function
+      | Crash { proc; round } when proc >= 0 -> crash_round.(proc) <- min crash_round.(proc) round
+      | _ -> ())
+    schedule;
+  let events =
+    List.filter_map
+      (function
+        | Crash _ -> None
+        | Partition { groups; _ } as ev -> Some (ev, group_index groups)
+        | ev -> Some (ev, [||]))
+      schedule
   in
-  { Sync_net.crashed; on_link }
+  let active round (ev, _) =
+    match ev with
+    | Drop { round = r; _ } | Duplicate { round = r; _ } | Delay { round = r; _ } | Corrupt { round = r; _ } ->
+      r = round
+    | Partition { from_round; heal_round; _ } -> round >= from_round && round < heal_round
+    | Crash _ -> false
+  in
+  let hits src dst (ev, idx) =
+    match ev with
+    | Drop { src = s; dst = d; _ }
+    | Duplicate { src = s; dst = d; _ }
+    | Delay { src = s; dst = d; _ }
+    | Corrupt { src = s; dst = d; _ } ->
+      s = src && d = dst
+    | Partition _ -> separated idx src dst
+    | Crash _ -> false
+  in
+  let rec any src dst = function [] -> false | e :: rest -> hits src dst e || any src dst rest in
+  let links ~round =
+    match List.filter (active round) events with
+    | [] -> None
+    | evs ->
+      let deliver ~src ~dst m =
+        (* Each applied event bumps the (deterministic) counter and, when
+           tracing, leaves an instant on the trace timeline. *)
+        let applied = ref 0 in
+        let hit name =
+          incr applied;
+          Obs.instant name
+            ~args:(fun () -> [ ("round", Obs.I round); ("src", Obs.I src); ("dst", Obs.I dst) ])
+        in
+        let deliveries =
+          List.fold_left
+            (fun deliveries ((ev, _) as e) ->
+              if not (hits src dst e) then deliveries
+              else
+                match ev with
+                | Drop _ ->
+                  hit "fault.drop";
+                  []
+                | Duplicate _ ->
+                  hit "fault.dup";
+                  List.concat_map (fun x -> [ x; x ]) deliveries
+                | Delay { by; _ } ->
+                  hit "fault.delay";
+                  List.map (fun (r', m') -> (r' + max 0 by, m')) deliveries
+                | Partition _ ->
+                  hit "fault.partition";
+                  []
+                | Corrupt _ -> (
+                  hit "fault.corrupt";
+                  match corrupt with
+                  | None -> deliveries
+                  | Some f -> List.map (fun (r', m') -> (r', f ~round ~src ~dst m')) deliveries)
+                | Crash _ -> deliveries)
+            [ (round, m) ]
+            evs
+        in
+        Obs.add c_link_events !applied;
+        deliveries
+      in
+      Some { Sync_net.touched = (fun ~src ~dst -> any src dst evs); deliver }
+  in
+  { Sync_net.crash_round; links }
 
 (* {1 Asynchronous faults} *)
 
@@ -212,25 +265,6 @@ let async_plan ?corrupt schedule =
         Async_net.Duplicate
       end
       else Async_net.Deliver
-
-(* A partition as, per process it lists, the index of the first group
-   holding it (-1 for none). Two processes share a group iff both have an
-   index and the indices are equal, or neither has one and they are the
-   same process: {!same_group}'s reading, since [List.find_opt] returns
-   that first group and two such groups are physically equal only if they
-   are the same one. *)
-let group_index groups =
-  let top = List.fold_left (List.fold_left max) (-1) groups in
-  let idx = Array.make (top + 1) (-1) in
-  List.iteri
-    (fun gi g -> List.iter (fun v -> if v >= 0 && idx.(v) < 0 then idx.(v) <- gi) g)
-    groups;
-  idx
-
-let separated idx a b =
-  let ga = if a < Array.length idx then idx.(a) else -1 in
-  let gb = if b < Array.length idx then idx.(b) else -1 in
-  if ga < 0 && gb < 0 then a <> b else ga <> gb
 
 (* Delay and Partition have no asynchronous loss semantics: they become
    pure scheduling pressure. Matching messages are starved while any fresh

@@ -58,8 +58,12 @@ val plan :
   ?corrupt:(round:int -> src:int -> dst:int -> 'm -> 'm) ->
   schedule ->
   'm Sync_net.fault_plan
-(** Deterministic for a fixed schedule: matching events are folded over
-    each attempted delivery in schedule order. *)
+(** Compiles the schedule once: the round each process crash-stops in,
+    and the link events with each partition's group index. Each round
+    keeps the events active in it; a delivery over a link they touch gets
+    their fold, in schedule order, over the intact singleton delivery, and
+    every other delivery is left alone. Deterministic for a fixed
+    schedule. *)
 
 (** {1 Asynchronous faults} *)
 

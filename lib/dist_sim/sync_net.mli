@@ -35,21 +35,35 @@ type 'm adversary = {
 val silent : int list -> 'm adversary
 (** Crash-from-the-start adversary: corrupted processes never send. *)
 
+type 'm link_faults = {
+  touched : src:int -> dst:int -> bool;
+      (** Does an event of this round apply to the [src → dst] link? Must
+          be a pure function: the network asks it once per link per round
+          and routes every other delivery unchanged. *)
+  deliver : src:int -> dst:int -> 'm -> (int * 'm) list;
+      (** Rewrites one attempted delivery over a touched link into the
+          [(delivery_round, payload)] list the network actually performs:
+          [[]] drops it, two entries duplicate it, a later round delays it
+          (messages delayed past the final round are lost), a changed
+          payload corrupts it. Called in delivery order: senders
+          ascending, each sender's messages in the order it emitted them,
+          a broadcast's destinations ascending. *)
+}
+(** The link events of one round. *)
+
 type 'm fault_plan = {
-  crashed : round:int -> int -> bool;
-      (** [crashed ~round p]: has [p] crash-stopped by [round]? Must be
-          monotone in [round]. A crashed process sends nothing, stops
+  crash_round : int array;
+      (** [crash_round.(p)]: the first round in which [p] is
+          crash-stopped, [max_int] if never; processes past the end of the
+          array never crash. A crashed process sends nothing, stops
           updating its state, and produces no output. *)
-  on_link : round:int -> src:int -> dst:int -> 'm -> (int * 'm) list;
-      (** Rewrites one attempted delivery into the [(delivery_round,
-          payload)] list the network actually performs: [[]] drops it, two
-          entries duplicate it, a later round delays it (messages delayed
-          past the final round are lost), a changed payload corrupts it.
-          The identity is [[(round, m)]]. *)
+  links : round:int -> 'm link_faults option;
+      (** The round's link events, or [None] when the round has none;
+          asked once at the start of each round. *)
 }
 (** Environment faults, orthogonal to the process-level {!adversary}.
-    {!Bn_dist_sim.Faults.plan} compiles declarative fault schedules into
-    this; honest-protocol code is unaffected. *)
+    {!Bn_dist_sim.Faults.plan} compiles a declarative fault schedule into
+    this once per run; honest-protocol code is unaffected. *)
 
 type 'o result = {
   outputs : 'o option array;  (** Per-process decision (index = id). *)
@@ -70,6 +84,9 @@ val run :
 (** Runs [rounds] synchronous rounds with processes [0 … n−1]. Corrupted
     processes' protocol logic is replaced by the adversary, but their
     inboxes are still computed and exposed to it. The fault plan applies
-    to all traffic — honest and adversarial alike — after it is emitted;
-    without [?faults] the simulation is byte-identical to previous
-    behaviour. *)
+    to all traffic — honest and adversarial alike — after it is emitted.
+
+    Inbox order: senders ascending; one sender's entries newest first,
+    where deliveries delayed into the round count as older than the
+    round's fresh traffic. That is the order a stable sort by sender gives
+    the list of the round's arrivals, newest first. *)

@@ -18,6 +18,7 @@ type config = {
   regime : string;
   expect_violation : bool;
   quick : bool;  (** part of the [--quick] (CI smoke) subset *)
+  gen : B.Prng.t -> B.Faults.schedule;  (** the config's schedule generator *)
   explore : pool:B.Pool.t -> seed:int -> trials:int -> B.Explore.report;
 }
 
@@ -31,10 +32,14 @@ let honest_values schedule values =
   let bad = B.Faults.culprits schedule in
   List.filteri (fun i _ -> not (List.mem i bad)) (Array.to_list values)
 
+(* The protocol is built once per system: its tables are shared,
+   read-only, by every run on every domain, and each run's state is made
+   afresh by [init]. *)
 let eig_system ~n ~t ~values =
+  let protocol = B.Eig.protocol ~n ~t ~values ~default:0 in
   {
     B.Explore.run =
-      (fun schedule -> B.Eig.run ~faults:(B.Faults.plan schedule) ~n ~t ~values ~default:0 ());
+      (fun schedule -> B.Sync_net.run ~faults:(B.Faults.plan schedule) ~n ~rounds:(t + 1) protocol);
     invariants =
       [
         ("agreement", fun s r -> B.Eig.agreement (masked s r));
@@ -85,8 +90,9 @@ let mk cname regime ~expect_violation ~quick gen sys =
     regime;
     expect_violation;
     quick;
+    gen;
     explore =
-      (fun ~pool ~seed ~trials -> B.Explore.explore ~pool ~seed ~trials ~gen:(fun rng -> gen rng) sys);
+      (fun ~pool ~seed ~trials -> B.Explore.explore ~pool ~seed ~trials ~gen sys);
   }
 
 let all : config list =

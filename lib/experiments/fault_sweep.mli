@@ -13,6 +13,8 @@ type config = {
   regime : string;
   expect_violation : bool;
   quick : bool;  (** part of the [--quick] (CI smoke) subset *)
+  gen : Beyond_nash.Prng.t -> Beyond_nash.Faults.schedule;
+      (** the config's seeded schedule generator *)
   explore : pool:Beyond_nash.Pool.t -> seed:int -> trials:int -> Beyond_nash.Explore.report;
 }
 

@@ -190,11 +190,11 @@ let test_golden_explore_snapshot () =
       ("explore.schedules", 20);
       ("explore.shrink_evals", 44);
       ("explore.violations", 14);
-      ("faults.link_events_applied", 69);
-      ("sync_net.messages_dropped", 46);
-      ("sync_net.messages_sent", 1281);
-      ("sync_net.rounds", 156);
-      ("sync_net.runs", 78);
+      ("faults.link_events_applied", 63);
+      ("sync_net.messages_dropped", 40);
+      ("sync_net.messages_sent", 1062);
+      ("sync_net.rounds", 128);
+      ("sync_net.runs", 64);
     ]
   in
   Alcotest.check snapshot_t "golden Det snapshot (explore-eig-n3-t1, seed 42)" expected got
