@@ -114,20 +114,76 @@ let is_bayes_nash ?(eps = 1e-9) t profile =
   done;
   !ok
 
-let pure_bayes_nash ?eps t =
-  let all = Array.init t.n (fun i -> pure_strategies t ~player:i) in
-  let rec combos i =
-    if i = t.n then [ [] ]
-    else
-      let rest = combos (i + 1) in
-      List.concat_map (fun s -> List.map (fun tail -> s :: tail) rest) all.(i)
+(* On pure profiles the interim utility of player [i] at type [ptype]
+   playing action [a] depends only on the others' pure strategies: every
+   action distribution is a point mass, so [interim_utility] folds
+   [p *. (0.0 +. 1.0 *. u)] over the conditional prior, which is what a
+   table entry holds. Entries are keyed by (player, type, action, the
+   others' strategy indices) and filled on first read; NaN marks an empty
+   slot (an entry whose value is NaN is just recomputed). *)
+let pure_bayes_nash ?(eps = 1e-9) t =
+  let n = t.n in
+  let all = Array.init n (fun i -> Array.of_list (pure_strategies t ~player:i)) in
+  let counts = Array.map Array.length all in
+  (* The types the check visits, each with its conditional prior. *)
+  let positive =
+    Array.init n (fun i ->
+        Array.of_list
+          (List.map
+             (fun ptype ->
+               match Dist.filter (fun types -> types.(i) = ptype) t.prior with
+               | None -> invalid_arg "Bayesian.interim_utility: zero-probability type"
+               | Some c -> (ptype, Dist.to_list c))
+             (positive_types t ~player:i)))
   in
-  List.filter_map
-    (fun combo ->
-      let arr = Array.of_list combo in
-      let behavioral = Array.mapi (fun i s -> pure_to_behavioral t ~player:i s) arr in
-      if is_bayes_nash ?eps t behavioral then Some arr else None)
-    (combos 0)
+  (* Player [i]'s entry at [ptype] playing [a] against the others'
+     strategy profile with index [idx] sits at
+     [(idx * num_types + ptype) * actions + a] of [tables.(i)]. *)
+  let tables =
+    Array.init n (fun i ->
+        Array.make
+          (Array.fold_left ( * ) 1 counts / counts.(i) * t.num_types.(i) * t.actions.(i))
+          Float.nan)
+  in
+  let interim combo i idx (ptype, conditional) a =
+    let k = (((idx * t.num_types.(i)) + ptype) * t.actions.(i)) + a in
+    if Float.is_nan tables.(i).(k) then
+      tables.(i).(k) <-
+        List.fold_left
+          (fun acc (types, p) ->
+            let acts =
+              Array.init n (fun j -> if j = i then a else all.(j).(combo.(j)).(types.(j)))
+            in
+            acc +. (p *. (0.0 +. (1.0 *. (t.u ~types ~acts).(i)))))
+          0.0 conditional;
+    tables.(i).(k)
+  in
+  let is_equilibrium combo =
+    let rec player i =
+      i >= n
+      ||
+      let idx = ref 0 in
+      for j = 0 to n - 1 do
+        if j <> i then idx := (!idx * counts.(j)) + combo.(j)
+      done;
+      let s = all.(i).(combo.(i)) in
+      Array.for_all
+        (fun ((ptype, _) as typ) ->
+          let current = interim combo i !idx typ s.(ptype) in
+          let rec no_gain a =
+            a >= t.actions.(i)
+            || ((not (interim combo i !idx typ a > current +. eps)) && no_gain (a + 1))
+          in
+          no_gain 0)
+        positive.(i)
+      && player (i + 1)
+    in
+    player 0
+  in
+  let acc = ref [] in
+  Bn_util.Combin.iter_profiles counts (fun combo ->
+      if is_equilibrium combo then acc := Array.init n (fun i -> all.(i).(combo.(i))) :: !acc);
+  List.rev !acc
 
 let agent_form t =
   let agents =

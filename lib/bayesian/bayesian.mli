@@ -60,7 +60,14 @@ val is_bayes_nash : ?eps:float -> t -> behavioral array -> bool
     probability) at which some action improves its conditional payoff. *)
 
 val pure_bayes_nash : ?eps:float -> t -> pure_strategy array list
-(** All pure Bayes–Nash equilibria by exhaustive enumeration. *)
+(** All pure Bayes–Nash equilibria by exhaustive enumeration, with
+    {!is_bayes_nash}'s verdicts. Interim utilities come from a table filled
+    on first read, keyed by (player, type, action, the other players' pure
+    strategies): on a pure profile nothing else moves a player's interim
+    utility. Each entry is one fold over the conditional prior, in its
+    order, giving the value {!interim_utility} gives.
+    @raise Invalid_argument as {!interim_utility} does, when a type in the
+    prior's support has conditional mass 0. *)
 
 val agent_form : t -> Bn_game.Normal_form.t * (int * int) array
 (** The agent-form normal game: one agent per (player, type) pair with

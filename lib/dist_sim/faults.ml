@@ -61,19 +61,24 @@ let schedule_to_string schedule =
 
 (* {1 Fault attribution} *)
 
-let culprits schedule =
-  List.sort_uniq compare
-    (List.filter_map
-       (function
-         | Drop { src; _ } | Duplicate { src; _ } | Delay { src; _ } | Corrupt { src; _ } ->
-           Some src
-         | Crash { proc; _ } -> Some proc
-         | Partition _ -> None)
-       schedule)
+let blamed = function
+  | Drop { src; _ } | Duplicate { src; _ } | Delay { src; _ } | Corrupt { src; _ } -> Some src
+  | Crash { proc; _ } -> Some proc
+  | Partition _ -> None
+
+let culprits schedule = List.sort_uniq compare (List.filter_map blamed schedule)
+
+let culprit_flags ~n schedule =
+  let bad = Array.make n false in
+  List.iter
+    (fun e ->
+      match blamed e with Some p when p >= 0 && p < n -> bad.(p) <- true | Some _ | None -> ())
+    schedule;
+  bad
 
 let mask schedule outputs =
-  let bad = culprits schedule in
-  Array.mapi (fun i o -> if List.mem i bad then None else o) outputs
+  let bad = culprit_flags ~n:(Array.length outputs) schedule in
+  Array.mapi (fun i o -> if bad.(i) then None else o) outputs
 
 (* {1 Partitions}
 

@@ -48,6 +48,10 @@ val culprits : schedule -> int list
 (** Sorted, deduplicated blameable processes: crash victims and tampered
     senders. Partitions blame nobody. *)
 
+val culprit_flags : n:int -> schedule -> bool array
+(** [culprit_flags ~n schedule] marks, of processes [0 … n−1], those in
+    {!culprits}. *)
+
 val mask : schedule -> 'a option array -> 'a option array
 (** [mask schedule outputs] erases the culprits' slots — correctness
     checks only constrain the processes the schedule did not corrupt. *)

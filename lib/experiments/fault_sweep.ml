@@ -22,15 +22,25 @@ type config = {
   explore : pool:B.Pool.t -> seed:int -> trials:int -> B.Explore.report;
 }
 
-(* Rebuild a Sync_net result with culprit outputs suppressed, so the
-   protocols' own agreement/validity checkers judge only the processes the
-   schedule cannot blame. *)
-let masked schedule (r : 'o B.Sync_net.result) =
-  { r with B.Sync_net.outputs = B.Faults.mask schedule r.B.Sync_net.outputs }
+(* A run as its invariants read it, built once per evaluation: the
+   schedule's culprits flagged per process, and the result with their
+   outputs suppressed, so the protocols' own agreement/validity checkers
+   judge only the processes the schedule cannot blame. *)
+type 'o judged = { culprit : bool array; masked : 'o B.Sync_net.result }
 
-let honest_values schedule values =
-  let bad = B.Faults.culprits schedule in
-  List.filteri (fun i _ -> not (List.mem i bad)) (Array.to_list values)
+let judged ~n schedule (r : 'o B.Sync_net.result) =
+  let culprit = B.Faults.culprit_flags ~n schedule in
+  {
+    culprit;
+    masked =
+      {
+        r with
+        B.Sync_net.outputs =
+          Array.mapi (fun i o -> if culprit.(i) then None else o) r.B.Sync_net.outputs;
+      };
+  }
+
+let honest_values j values = List.filteri (fun i _ -> not j.culprit.(i)) (Array.to_list values)
 
 (* The protocol is built once per system: its tables are shared,
    read-only, by every run on every domain, and each run's state is made
@@ -39,37 +49,38 @@ let eig_system ~n ~t ~values =
   let protocol = B.Eig.protocol ~n ~t ~values ~default:0 in
   {
     B.Explore.run =
-      (fun schedule -> B.Sync_net.run ~faults:(B.Faults.plan schedule) ~n ~rounds:(t + 1) protocol);
+      (fun schedule ->
+        judged ~n schedule
+          (B.Sync_net.run ~faults:(B.Faults.plan schedule) ~n ~rounds:(t + 1) protocol));
     invariants =
       [
-        ("agreement", fun s r -> B.Eig.agreement (masked s r));
-        ( "validity",
-          fun s r -> B.Eig.validity ~honest_values:(honest_values s values) (masked s r) );
+        ("agreement", fun _ j -> B.Eig.agreement j.masked);
+        ("validity", fun _ j -> B.Eig.validity ~honest_values:(honest_values j values) j.masked);
       ];
   }
 
 let floodset_system ~n ~f ~values =
   {
     B.Explore.run =
-      (fun schedule -> B.Floodset.run ~faults:(B.Faults.plan schedule) ~n ~f ~values ());
+      (fun schedule ->
+        judged ~n schedule (B.Floodset.run ~faults:(B.Faults.plan schedule) ~n ~f ~values ()));
     invariants =
       [
-        ("agreement", fun s r -> B.Floodset.agreement (masked s r));
-        ( "validity",
-          fun s r -> B.Floodset.validity ~all_values:(Array.to_list values) (masked s r) );
+        ("agreement", fun _ j -> B.Floodset.agreement j.masked);
+        ("validity", fun _ j -> B.Floodset.validity ~all_values:(Array.to_list values) j.masked);
       ];
   }
 
 let phase_king_system ~n ~t ~values =
   {
     B.Explore.run =
-      (fun schedule -> B.Phase_king.run ~faults:(B.Faults.plan schedule) ~n ~t ~values ());
+      (fun schedule ->
+        judged ~n schedule (B.Phase_king.run ~faults:(B.Faults.plan schedule) ~n ~t ~values ()));
     invariants =
       [
-        ("agreement", fun s r -> B.Phase_king.agreement (masked s r));
+        ("agreement", fun _ j -> B.Phase_king.agreement j.masked);
         ( "validity",
-          fun s r -> B.Phase_king.validity ~honest_values:(honest_values s values) (masked s r)
-        );
+          fun _ j -> B.Phase_king.validity ~honest_values:(honest_values j values) j.masked );
       ];
   }
 
@@ -79,9 +90,10 @@ let dolev_strong_system ~n ~t =
   {
     B.Explore.run =
       (fun schedule ->
-        B.Dolev_strong.run ~faults:(B.Faults.plan schedule) ~pki ~n ~t ~sender:0 ~value:1
-          ~default:9 ());
-    invariants = [ ("agreement", fun s r -> B.Dolev_strong.agreement (masked s r)) ];
+        judged ~n schedule
+          (B.Dolev_strong.run ~faults:(B.Faults.plan schedule) ~pki ~n ~t ~sender:0 ~value:1
+             ~default:9 ()));
+    invariants = [ ("agreement", fun _ j -> B.Dolev_strong.agreement j.masked) ];
   }
 
 let mk cname regime ~expect_violation ~quick gen sys =
@@ -212,13 +224,14 @@ let demo ~seed () =
   in
   let row label faults schedule_str =
     let r = B.Eig.run ?faults ~n ~t ~values ~default:0 () in
-    let m = match faults with None -> r | Some _ -> masked schedule r in
+    let j = judged ~n schedule r in
+    let m = match faults with None -> r | Some _ -> j.masked in
     B.Tab.add_row tab
       [
         label;
         schedule_str;
         string_of_bool (B.Eig.agreement m);
-        string_of_bool (B.Eig.validity ~honest_values:(honest_values schedule values) m);
+        string_of_bool (B.Eig.validity ~honest_values:(honest_values j values) m);
         string_of_int r.B.Sync_net.messages_sent;
         string_of_int r.B.Sync_net.messages_dropped;
       ]

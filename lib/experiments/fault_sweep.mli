@@ -23,20 +23,20 @@ val configs : quick:bool -> config list
 
 (** {1 Systems under test} (exported for the fault/exploration suites) *)
 
+type 'o judged
+(** One run as the invariants read it: the schedule's culprits, flagged
+    once per evaluation, and the result with their outputs erased. *)
+
 val eig_system :
-  n:int -> t:int -> values:int array ->
-  int Beyond_nash.Sync_net.result Beyond_nash.Explore.system
+  n:int -> t:int -> values:int array -> int judged Beyond_nash.Explore.system
 
 val floodset_system :
-  n:int -> f:int -> values:int array ->
-  int Beyond_nash.Sync_net.result Beyond_nash.Explore.system
+  n:int -> f:int -> values:int array -> int judged Beyond_nash.Explore.system
 
 val phase_king_system :
-  n:int -> t:int -> values:int array ->
-  int Beyond_nash.Sync_net.result Beyond_nash.Explore.system
+  n:int -> t:int -> values:int array -> int judged Beyond_nash.Explore.system
 
-val dolev_strong_system :
-  n:int -> t:int -> int Beyond_nash.Sync_net.result Beyond_nash.Explore.system
+val dolev_strong_system : n:int -> t:int -> int judged Beyond_nash.Explore.system
 
 val explore_eig_n3t1 :
   ?pool:Beyond_nash.Pool.t -> seed:int -> trials:int -> unit -> Beyond_nash.Explore.report

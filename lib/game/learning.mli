@@ -4,13 +4,13 @@
     exact solvers and a dynamic account of how equilibrium beliefs could
     arise — one of the questions the paper raises about one-shot games.
 
-    Both dynamics run on the flat payoff kernel ({!Normal_form.Flat}) with
+    Both dynamics run on the flat payoff kernel ({!Nash.Kernel}) with
     incremental expected utilities: a player's deviation-EU vector is only
     recomputed on rounds where some opponent's mixture coordinate actually
     changed (bitwise), so converged phases cost a comparison per player per
-    round. Results are bitwise-identical to the retained references
-    {!fictitious_play_naive} and {!replicator_naive}, which the QCheck
-    agreement suite pins. *)
+    round. Traces are bitwise-identical to re-evaluating every expected
+    utility through {!Mixed} each round, which the QCheck agreement suite
+    pins against references kept in the tests. *)
 
 type trace = {
   profile : Mixed.profile;  (** Final (empirical or population) profile. *)
@@ -35,17 +35,6 @@ val replicator :
     is 0.1. With [tol], stops after the first round whose profile has
     {!Nash.max_regret} below [tol] (a replicator fixed point — e.g. an
     interior equilibrium start — stops on round 1). *)
-
-val fictitious_play_naive : ?init:int array -> rounds:int -> Normal_form.t -> trace
-(** Reference implementation of {!fictitious_play}: full per-round
-    re-evaluation through {!Mixed} and {!Nash.pure_best_responses}.
-    Bitwise-identical traces; retained as the QCheck oracle. *)
-
-val replicator_naive :
-  ?init:Mixed.profile -> ?dt:float -> rounds:int -> Normal_form.t -> trace
-(** Reference implementation of {!replicator}: full per-round re-evaluation
-    through {!Mixed.expected_payoff}. Bitwise-identical traces; retained as
-    the QCheck oracle. *)
 
 val best_response_iteration :
   ?init:int array -> max_rounds:int -> Normal_form.t -> int array option

@@ -175,11 +175,6 @@ let expected_payoffs g prof =
         done);
     acc
 
-let expected_payoff_vs_pure g prof ~player ~action =
-  let deviated = Array.copy prof in
-  deviated.(player) <- pure ~num_actions:(Normal_form.num_actions g player) action;
-  expected_payoff g deviated player
-
 let support ?(eps = 1e-9) s =
   let acc = ref [] in
   Array.iteri (fun i p -> if p > eps then acc := i :: !acc) s;

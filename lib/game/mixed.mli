@@ -53,11 +53,6 @@ val expected_payoff_naive : Normal_form.t -> profile -> int -> float
 val expected_payoffs : Normal_form.t -> profile -> float array
 (** Expected payoff of every player. *)
 
-val expected_payoff_vs_pure :
-  Normal_form.t -> profile -> player:int -> action:int -> float
-(** Expected payoff to [player] of the pure deviation [action] while all
-    other players follow the profile. *)
-
 val support : ?eps:float -> strategy -> int list
 (** Actions with probability above [eps]. *)
 

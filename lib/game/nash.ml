@@ -1,11 +1,10 @@
-(* Two-player evaluations run on the flat kernel ({!Normal_form.Flat}):
-   unboxed loops over the per-player Bigarray tables. Every fast path below
-   is bitwise-identical to the [Mixed.expected_payoff] path it replaces —
-   same left-to-right support products, 0.0-initialized accumulators and
-   [pr > 0.0] skips; [1.0 *. x = x] and [0.0 +. x = x] in IEEE, so the
-   point-mass fast path and the support product agree bit-for-bit. The
-   Mixed-based generic path is retained for n ≠ 2 and, as
-   [max_regret_naive], as the reference oracle for the agreement tests. *)
+(* Every expected utility here runs on a flat kernel over the per-player
+   Bigarray tables ({!Normal_form.Flat}): [eu2]/[eu2_dev] for two players,
+   [Kernel] for any n. Each returns bitwise what [Mixed.expected_payoff]
+   returns — same left-to-right support products, 0.0-initialized
+   accumulators and [pr > 0.0] skips; [1.0 *. x = x] and [0.0 +. x = x] in
+   IEEE, so a deviator's point mass and the pure fast path agree
+   bit-for-bit with the support product. *)
 
 module Flat = Normal_form.Flat
 
@@ -56,59 +55,229 @@ let eu2_dev g prof ~player ~action =
   end;
   !acc
 
-let dev_value g prof ~player ~action =
-  if Normal_form.n_players g = 2 then eu2_dev g prof ~player ~action
-  else Mixed.expected_payoff_vs_pure g prof ~player ~action
+(* The n-player kernel: support-compressed product iteration with
+   caller-owned scratch. The loops mirror [Mixed.iter_support] exactly —
+   supports are the [p > 0.0] coordinates in action order, probabilities
+   accumulate as the same left-to-right prefix products, and
+   zero-probability profiles are skipped at the same spot. *)
+module Kernel = struct
+  type t = {
+    n : int;
+    acts : int array;
+    strides : int array;
+    tabs : Flat.ba array;
+    supp_act : int array array;  (* per player: support actions, prefix *)
+    supp_prob : float array array;
+    supp_len : int array;
+    pos : int array;  (* odometer position per level *)
+    pref_pr : float array;  (* left-to-right probability prefixes *)
+    pref_idx : int array;  (* matching flat-index prefixes *)
+    ids : int array;  (* every player, in order *)
+    opp : int array;  (* players ≠ i, in player order *)
+  }
 
-let own_value g prof ~player =
-  if Normal_form.n_players g = 2 then eu2 g prof ~player
-  else Mixed.expected_payoff g prof player
+  let make g =
+    let n = Normal_form.n_players g in
+    let acts = Normal_form.actions g in
+    {
+      n;
+      acts;
+      strides = Array.init n (Normal_form.stride g);
+      tabs = Array.init n (Flat.table g);
+      supp_act = Array.map (fun m -> Array.make m 0) acts;
+      supp_prob = Array.map (fun m -> Array.make m 0.0) acts;
+      supp_len = Array.make n 0;
+      pos = Array.make n 0;
+      pref_pr = Array.make n 1.0;
+      pref_idx = Array.make n 0;
+      ids = Array.init n Fun.id;
+      opp = Array.make (if n > 1 then n - 1 else 1) 0;
+    }
 
-let best_response_value g prof ~player =
+  let refresh k (prof : Mixed.profile) =
+    for j = 0 to k.n - 1 do
+      let s = prof.(j) in
+      let acts = k.supp_act.(j) and probs = k.supp_prob.(j) in
+      let len = ref 0 in
+      for a = 0 to Array.length s - 1 do
+        let p = Array.unsafe_get s a in
+        if p > 0.0 then begin
+          acts.(!len) <- a;
+          probs.(!len) <- p;
+          incr len
+        end
+      done;
+      k.supp_len.(j) <- !len
+    done
+
+  (* The support product over the players [order.(0 .. levels−1)] is
+     walked row-major by an odometer whose per-level prefixes of the
+     probability product and the flat index sit in [pref_pr]/[pref_idx];
+     the current profile's are at [levels − 1]. [start] places it on the
+     first profile ([false] when some support is empty); [advance] moves
+     to the next ([false] past the last), recomputing only the levels at
+     and below the one that moved. *)
+  let recompute_from k order levels l0 =
+    for l = l0 to levels - 1 do
+      let j = order.(l) in
+      let p = k.pos.(l) in
+      k.pref_pr.(l) <- (if l = 0 then 1.0 else k.pref_pr.(l - 1)) *. k.supp_prob.(j).(p);
+      k.pref_idx.(l) <-
+        (if l = 0 then 0 else k.pref_idx.(l - 1)) + (k.supp_act.(j).(p) * k.strides.(j))
+    done
+
+  let start k order levels =
+    let empty = ref false in
+    for l = 0 to levels - 1 do
+      if k.supp_len.(order.(l)) = 0 then empty := true
+    done;
+    if !empty then false
+    else begin
+      Array.fill k.pos 0 levels 0;
+      recompute_from k order levels 0;
+      true
+    end
+
+  let advance k order levels =
+    let rec bump l =
+      if l < 0 then false
+      else if k.pos.(l) + 1 < k.supp_len.(order.(l)) then begin
+        k.pos.(l) <- k.pos.(l) + 1;
+        recompute_from k order levels l;
+        true
+      end
+      else begin
+        k.pos.(l) <- 0;
+        bump (l - 1)
+      end
+    in
+    bump (levels - 1)
+
+  (* Every player's expected payoff in one sweep of the full support
+     product: [out.(i)] accumulates exactly as [Mixed.expected_payoff g
+     prof i] does (0.0 on an empty support). *)
+  let own_values k (out : float array) =
+    let n = k.n in
+    Array.fill out 0 n 0.0;
+    let continue = ref (start k k.ids n) in
+    while !continue do
+      let pr = k.pref_pr.(n - 1) in
+      if pr > 0.0 then begin
+        let idx = k.pref_idx.(n - 1) in
+        for i = 0 to n - 1 do
+          out.(i) <- out.(i) +. (pr *. Bigarray.Array1.unsafe_get k.tabs.(i) idx)
+        done
+      end;
+      continue := advance k k.ids n
+    done
+
+  (* [out.(a)] becomes player [i]'s expected payoff for playing pure [a]
+     against the others' supports: one sweep over the opponents'
+     product, every action's sum accumulating in the order
+     [Mixed.expected_payoff] visits it on the profile with [i]'s strategy
+     replaced by the point mass on [a] (which contributes a bitwise no-op
+     1.0 factor). *)
+  let deviation_values k i (out : float array) =
+    let tab = k.tabs.(i) and st = k.strides.(i) and mi = k.acts.(i) in
+    Array.fill out 0 mi 0.0;
+    let np = k.n - 1 in
+    if np = 0 then
+      for a = 0 to mi - 1 do
+        out.(a) <- out.(a) +. (1.0 *. Bigarray.Array1.unsafe_get tab (a * st))
+      done
+    else begin
+      let w = ref 0 in
+      for j = 0 to k.n - 1 do
+        if j <> i then begin
+          k.opp.(!w) <- j;
+          incr w
+        end
+      done;
+      let continue = ref (start k k.opp np) in
+      while !continue do
+        let pr = k.pref_pr.(np - 1) in
+        if pr > 0.0 then begin
+          let base = k.pref_idx.(np - 1) in
+          for a = 0 to mi - 1 do
+            out.(a) <- out.(a) +. (pr *. Bigarray.Array1.unsafe_get tab (base + (a * st)))
+          done
+        end;
+        continue := advance k k.opp np
+      done
+    end
+end
+
+let max_value (vs : float array) =
   let best = ref neg_infinity in
-  for a = 0 to Normal_form.num_actions g player - 1 do
-    let v = dev_value g prof ~player ~action:a in
-    if v > !best then best := v
+  for a = 0 to Array.length vs - 1 do
+    if vs.(a) > !best then best := vs.(a)
   done;
   !best
 
+let kernel_of g prof =
+  let k = Kernel.make g in
+  Kernel.refresh k prof;
+  k
+
+(* [player]'s payoff for each pure action against the others' profile. *)
+let deviation_values g prof ~player =
+  let m = Normal_form.num_actions g player in
+  if Normal_form.n_players g = 2 then Array.init m (fun a -> eu2_dev g prof ~player ~action:a)
+  else begin
+    let out = Array.make m 0.0 in
+    Kernel.deviation_values (kernel_of g prof) player out;
+    out
+  end
+
+let best_response_value g prof ~player = max_value (deviation_values g prof ~player)
+
 let pure_best_responses g prof ~player =
-  let best = best_response_value g prof ~player in
+  let devs = deviation_values g prof ~player in
+  let best = max_value devs in
   let acc = ref [] in
-  for a = Normal_form.num_actions g player - 1 downto 0 do
-    let v = dev_value g prof ~player ~action:a in
-    if Float.abs (v -. best) <= 1e-9 then acc := a :: !acc
+  for a = Array.length devs - 1 downto 0 do
+    if Float.abs (devs.(a) -. best) <= 1e-9 then acc := a :: !acc
   done;
   !acc
 
 let regret g prof ~player =
-  let br = best_response_value g prof ~player in
-  let current = own_value g prof ~player in
-  Float.max 0.0 (br -. current)
+  let n = Normal_form.n_players g in
+  if n = 2 then Float.max 0.0 (best_response_value g prof ~player -. eu2 g prof ~player)
+  else begin
+    let k = kernel_of g prof in
+    let own = Array.make n 0.0 and devs = Array.make (Normal_form.num_actions g player) 0.0 in
+    Kernel.own_values k own;
+    Kernel.deviation_values k player devs;
+    Float.max 0.0 (max_value devs -. own.(player))
+  end
 
+(* Two players: allocation-free loops over [eu2]/[eu2_dev]. Otherwise one
+   kernel sweep for every player's own value and one per player for all
+   of its deviations. *)
 let max_regret g prof =
+  let n = Normal_form.n_players g in
   let worst = ref 0.0 in
-  for i = 0 to Normal_form.n_players g - 1 do
-    let r = regret g prof ~player:i in
-    if r > !worst then worst := r
-  done;
-  !worst
-
-(* Reference oracle: the pre-kernel implementation, all evaluations through
-   [Mixed.expected_payoff]. The QCheck agreement suite pins
-   [max_regret == max_regret_naive] bitwise. *)
-let max_regret_naive g prof =
-  let worst = ref 0.0 in
-  for player = 0 to Normal_form.n_players g - 1 do
-    let br = ref neg_infinity in
-    for a = 0 to Normal_form.num_actions g player - 1 do
-      let v = Mixed.expected_payoff_vs_pure g prof ~player ~action:a in
-      if v > !br then br := v
-    done;
-    let current = Mixed.expected_payoff g prof player in
-    let r = Float.max 0.0 (!br -. current) in
-    if r > !worst then worst := r
-  done;
+  if n = 2 then
+    for player = 0 to 1 do
+      let br = ref neg_infinity in
+      for a = 0 to Normal_form.num_actions g player - 1 do
+        let v = eu2_dev g prof ~player ~action:a in
+        if v > !br then br := v
+      done;
+      let r = Float.max 0.0 (!br -. eu2 g prof ~player) in
+      if r > !worst then worst := r
+    done
+  else begin
+    let k = kernel_of g prof in
+    let own = Array.make n 0.0 in
+    Kernel.own_values k own;
+    for player = 0 to n - 1 do
+      let devs = Array.make (Normal_form.num_actions g player) 0.0 in
+      Kernel.deviation_values k player devs;
+      let r = Float.max 0.0 (max_value devs -. own.(player)) in
+      if r > !worst then worst := r
+    done
+  end;
   !worst
 
 let is_nash ?(eps = 1e-9) g prof = max_regret g prof <= eps

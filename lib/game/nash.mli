@@ -16,14 +16,9 @@ val regret : Normal_form.t -> Mixed.profile -> player:int -> float
     player's strategy is a best response. *)
 
 val max_regret : Normal_form.t -> Mixed.profile -> float
-(** Maximum regret over all players. Two-player games evaluate on the flat
-    kernel ({!Normal_form.Flat}); results are bitwise-identical to
-    {!max_regret_naive}. *)
-
-val max_regret_naive : Normal_form.t -> Mixed.profile -> float
-(** Reference implementation of {!max_regret}: every expected utility
-    through {!Mixed.expected_payoff}. Retained as the oracle for the
-    kernel-agreement property tests. *)
+(** Maximum regret over all players. Evaluates on the flat kernels
+    ([Kernel] for n ≠ 2); results are bitwise-identical to evaluating
+    every expected utility through {!Mixed.expected_payoff}. *)
 
 val is_nash : ?eps:float -> Normal_form.t -> Mixed.profile -> bool
 (** Whether no player has a profitable unilateral deviation (within [eps],
@@ -43,3 +38,32 @@ val support_enumeration_2p : ?eps:float -> Normal_form.t -> Mixed.profile list
 
 val find_2p : ?eps:float -> Normal_form.t -> Mixed.profile option
 (** First equilibrium from {!support_enumeration_2p}. *)
+
+(** {1 Flat kernel}
+
+    The n-player expected-utility kernel over the per-player payoff tables
+    ({!Normal_form.Flat}), with caller-owned scratch. After [refresh k
+    prof], {!Kernel.own_values} and {!Kernel.deviation_values} return
+    exactly (bitwise) what {!Mixed.expected_payoff} returns on [prof] and
+    on [prof] with the deviator's strategy replaced by a point mass: the
+    same support products, in the same order, with the same [pr > 0.0]
+    skips. *)
+module Kernel : sig
+  type t
+
+  val make : Normal_form.t -> t
+  (** Scratch for one game; reusable across profiles, not across
+      domains. *)
+
+  val refresh : t -> Mixed.profile -> unit
+  (** Record the profile's supports (its [p > 0.0] coordinates). *)
+
+  val own_values : t -> float array -> unit
+  (** [own_values k out] sets [out.(i)] to player [i]'s expected payoff,
+      for every player, in one sweep of the support product. *)
+
+  val deviation_values : t -> int -> float array -> unit
+  (** [deviation_values k i out] sets [out.(a)] to player [i]'s expected
+      payoff for pure action [a] against the others' strategies, for every
+      action, in one sweep of the opponents' support product. *)
+end

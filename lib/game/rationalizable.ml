@@ -3,40 +3,37 @@ module Simplex = Bn_lp.Simplex
 (* LP: find a mixture y over player's actions except [a] and a margin m,
    maximizing m subject to  sum_b y_b u(b, s) - u(a, s) >= m  for every
    opposing pure profile s, sum y = 1. Dominated iff optimal m > eps. The
-   free margin is encoded as mplus - mminus. *)
+   free margin is encoded as mplus - mminus. Rows follow the opposing
+   profiles in row-major order; [u(b, s)] is read at [s]'s flat index
+   shifted by [b]'s stride. *)
 let mixed_dominates ?(eps = 1e-9) g ~player a =
   let own = Normal_form.num_actions g player in
-  let others = List.init own (fun b -> b) |> List.filter (fun b -> b <> a) in
-  let k = List.length others in
+  if a < 0 || a >= own then invalid_arg "Rationalizable.mixed_dominates: action out of range";
+  let k = own - 1 in
   if k = 0 then None
   else begin
+    let others = Array.init k (fun c -> if c < a then c else c + 1) in
     let dims = Normal_form.actions g in
-    let opposing_dims = Array.copy dims in
-    opposing_dims.(player) <- 1;
-    let opposing = Bn_util.Combin.profiles opposing_dims in
+    dims.(player) <- 1;
+    let st = Normal_form.stride g player in
     let nvars = k + 2 in
-    let payoff b s =
-      let p = Array.copy s in
-      p.(player) <- b;
-      Normal_form.payoff g p player
-    in
-    let rows =
-      List.map
-        (fun s ->
+    let rows = ref [] in
+    Bn_util.Combin.iter_profiles dims (fun s ->
+        let base = Normal_form.index_of g s in
+        let payoff b = Normal_form.payoff_by_index g (base + (b * st)) player in
+        let ua = payoff a in
+        rows :=
           Simplex.ge
             (Array.init nvars (fun c ->
-                 if c < k then payoff (List.nth others c) s -. payoff a s
-                 else if c = k then -1.0
-                 else 1.0))
-            0.0)
-        opposing
-    in
+                 if c < k then payoff others.(c) -. ua else if c = k then -1.0 else 1.0))
+            0.0
+          :: !rows);
     let sum_row = Simplex.eq (Array.init nvars (fun c -> if c < k then 1.0 else 0.0)) 1.0 in
     let objective = Array.init nvars (fun c -> if c = k then 1.0 else if c = k + 1 then -1.0 else 0.0) in
-    match Simplex.maximize objective (sum_row :: rows) with
+    match Simplex.maximize objective (sum_row :: List.rev !rows) with
     | Simplex.Optimal { solution; value } when value > eps ->
       let mix = Array.make own 0.0 in
-      List.iteri (fun idx b -> mix.(b) <- Float.max 0.0 solution.(idx)) others;
+      Array.iteri (fun idx b -> mix.(b) <- Float.max 0.0 solution.(idx)) others;
       let total = Array.fold_left ( +. ) 0.0 mix in
       Some (Array.map (fun x -> x /. total) mix)
     | Simplex.Optimal _ | Simplex.Infeasible | Simplex.Unbounded -> None
@@ -62,15 +59,17 @@ let rationalizable g =
     let current = restrict g surviving in
     for i = 0 to n - 1 do
       if List.length surviving.(i) > 1 then begin
-        let doomed = ref [] in
-        List.iteri
-          (fun local _original ->
-            if mixed_dominates current ~player:i local <> None then doomed := local :: !doomed)
-          surviving.(i);
-        match !doomed with
-        | [] -> ()
-        | local :: _ ->
-          (* Remove one action per pass to keep the reduction well-founded. *)
+        (* Remove one action per pass to keep the reduction well-founded:
+           the last dominated one, so the scan runs from the top and stops
+           at the first LP that finds a dominating mixture. *)
+        let rec last_dominated local =
+          if local < 0 then None
+          else if mixed_dominates current ~player:i local <> None then Some local
+          else last_dominated (local - 1)
+        in
+        match last_dominated (List.length surviving.(i) - 1) with
+        | None -> ()
+        | Some local ->
           surviving.(i) <- List.filteri (fun idx _ -> idx <> local) surviving.(i);
           changed := true
       end

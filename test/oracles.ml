@@ -1,7 +1,8 @@
 (* Reference implementations kept as test oracles: the code lib/ ran before
    faster versions replaced it. The agreement suites in test_crypto.ml,
-   test_async_mediator.ml, test_soa.ml, test_util.ml and test_faults.ml
-   check the library against them. *)
+   test_async_mediator.ml, test_soa.ml, test_util.ml, test_faults.ml,
+   test_game.ml, test_machine.ml, test_bayesian.ml and
+   test_rationalizable_parse.ml check the library against them. *)
 
 module B = Beyond_nash
 module A = B.Async_net
@@ -803,4 +804,267 @@ module Eig_list = struct
         (List.init n Fun.id)
     in
     { N.corrupted; behave }
+end
+
+(* {1 Regret and learning dynamics through [Mixed]}
+
+   Every expected utility through [Mixed.expected_payoff], on a profile
+   copy for each pure deviation, re-evaluated in full each time. *)
+
+module Game = struct
+  module Nf = B.Normal_form
+  module Mixed = B.Mixed
+
+  let expected_payoff_vs_pure g prof ~player ~action =
+    let deviated = Array.copy prof in
+    deviated.(player) <- Mixed.pure ~num_actions:(Nf.num_actions g player) action;
+    Mixed.expected_payoff g deviated player
+
+  let deviation_values g prof ~player =
+    Array.init (Nf.num_actions g player) (fun a ->
+        expected_payoff_vs_pure g prof ~player ~action:a)
+
+  let max_regret_naive g prof =
+    let worst = ref 0.0 in
+    for player = 0 to Nf.n_players g - 1 do
+      let br = ref neg_infinity in
+      Array.iter (fun v -> if v > !br then br := v) (deviation_values g prof ~player);
+      let current = Mixed.expected_payoff g prof player in
+      let r = Float.max 0.0 (!br -. current) in
+      if r > !worst then worst := r
+    done;
+    !worst
+
+  let pure_best_responses g prof ~player =
+    let devs = deviation_values g prof ~player in
+    let best = Array.fold_left (fun b v -> if v > b then v else b) neg_infinity devs in
+    List.filter
+      (fun a -> Float.abs (devs.(a) -. best) <= 1e-9)
+      (List.init (Array.length devs) Fun.id)
+
+  let fictitious_play_naive ?init ~rounds g =
+    let n = Nf.n_players g in
+    let counts = Array.init n (fun i -> Array.make (Nf.num_actions g i) 0.0) in
+    let current = match init with Some p -> Array.copy p | None -> Array.make n 0 in
+    for _ = 1 to rounds do
+      Array.iteri (fun i a -> counts.(i).(a) <- counts.(i).(a) +. 1.0) current;
+      let empirical = Array.map Mixed.of_weights counts in
+      for i = 0 to n - 1 do
+        match pure_best_responses g empirical ~player:i with
+        | [] -> ()
+        | a :: _ -> current.(i) <- a
+      done
+    done;
+    let profile = Array.map Mixed.of_weights counts in
+    { B.Learning.profile; rounds; final_regret = max_regret_naive g profile }
+
+  let replicator_naive ?init ?(dt = 0.1) ~rounds g =
+    let n = Nf.n_players g in
+    let prof =
+      match init with
+      | Some p -> Array.map Array.copy p
+      | None -> Array.map Array.copy (Mixed.uniform_profile g)
+    in
+    for _ = 1 to rounds do
+      let updated =
+        Array.init n (fun i ->
+            let avg = Mixed.expected_payoff g prof i in
+            let fitness = deviation_values g prof ~player:i in
+            Mixed.of_weights
+              (Array.mapi
+                 (fun a f -> Float.max 1e-12 (prof.(i).(a) *. (1.0 +. (dt *. (f -. avg)))))
+                 fitness))
+      in
+      Array.blit updated 0 prof 0 n
+    done;
+    { B.Learning.profile = prof; rounds; final_regret = max_regret_naive g prof }
+end
+
+(* {1 Machine games through [Dist] lists}
+
+   The machine game's fields, the list-path expected utility (every action
+   product built by [Dist.product_list]) and the equilibrium searches that
+   re-evaluate it for every candidate and every deviation. *)
+
+module Machine_game = struct
+  module Dist = B.Dist
+
+  type t = {
+    machines : B.Machine.t array array;
+    prior : int array Dist.t;
+    utility :
+      player:int -> types:int array -> acts:int array -> complexities:float array -> float;
+  }
+
+  let expected_utility t ~choice ~player =
+    let n = Array.length t.machines in
+    Dist.expect
+      (fun types ->
+        let complexities =
+          Array.init n (fun i -> t.machines.(i).(choice.(i)).B.Machine.complexity types.(i))
+        in
+        let action_dists =
+          List.init n (fun i -> t.machines.(i).(choice.(i)).B.Machine.act types.(i))
+        in
+        Dist.expect
+          (fun acts -> t.utility ~player ~types ~acts:(Array.of_list acts) ~complexities)
+          (Dist.product_list action_dists))
+      t.prior
+
+  let best_deviation t ~choice ~player =
+    let current = expected_utility t ~choice ~player in
+    let best = ref None in
+    Array.iteri
+      (fun m _ ->
+        if m <> choice.(player) then begin
+          let alt = Array.copy choice in
+          alt.(player) <- m;
+          let u = expected_utility t ~choice:alt ~player in
+          let better_than_best =
+            match !best with None -> u > current +. 1e-9 | Some (_, ub) -> u > ub
+          in
+          if better_than_best then best := Some (m, u)
+        end)
+      t.machines.(player);
+    !best
+
+  let is_nash ?(eps = 1e-9) t ~choice =
+    let ok = ref true in
+    for i = 0 to Array.length t.machines - 1 do
+      let current = expected_utility t ~choice ~player:i in
+      match best_deviation t ~choice ~player:i with
+      | Some (_, u) when u > current +. eps -> ok := false
+      | Some _ | None -> ()
+    done;
+    !ok
+
+  let all_choices t = B.Combin.profiles (Array.map Array.length t.machines)
+
+  let nash_equilibria t = List.filter (fun choice -> is_nash t ~choice) (all_choices t)
+
+  let nonexistence_certificate t =
+    let n = Array.length t.machines in
+    let entries =
+      List.map
+        (fun choice ->
+          let rec find i =
+            if i >= n then None
+            else
+              let current = expected_utility t ~choice ~player:i in
+              match best_deviation t ~choice ~player:i with
+              | Some (m, u) when u > current +. 1e-9 -> Some (choice, i, m)
+              | Some _ | None -> find (i + 1)
+          in
+          find 0)
+        (all_choices t)
+    in
+    if List.exists (( = ) None) entries then None else Some (List.map Option.get entries)
+end
+
+(* {1 Pure Bayes–Nash equilibria by the behavioral check}
+
+   Every candidate profile converted to point masses and judged by
+   [Bayesian.is_bayes_nash], which rebuilds each interim utility from
+   [Dist] lists. *)
+
+module Bayesian = struct
+  module Bay = B.Bayesian
+
+  let pure_bayes_nash ?eps t =
+    let n = Bay.n_players t in
+    let all = Array.init n (fun i -> Bay.pure_strategies t ~player:i) in
+    let rec combos i =
+      if i = n then [ [] ]
+      else
+        let rest = combos (i + 1) in
+        List.concat_map (fun s -> List.map (fun tail -> s :: tail) rest) all.(i)
+    in
+    List.filter_map
+      (fun combo ->
+        let arr = Array.of_list combo in
+        let behavioral = Array.mapi (fun i s -> Bay.pure_to_behavioral t ~player:i s) arr in
+        if Bay.is_bayes_nash ?eps t behavioral then Some arr else None)
+      (combos 0)
+end
+
+(* {1 Rationalizability solving every LP}
+
+   Each pass asks the LP about every surviving action of a player and
+   removes the last one found dominated; rows are built from profile
+   copies and [List.nth]. *)
+
+module Rationalizable = struct
+  module Nf = B.Normal_form
+  module Simplex = B.Simplex
+
+  let mixed_dominates ?(eps = 1e-9) g ~player a =
+    let own = Nf.num_actions g player in
+    let others = List.init own (fun b -> b) |> List.filter (fun b -> b <> a) in
+    let k = List.length others in
+    if k = 0 then None
+    else begin
+      let dims = Nf.actions g in
+      let opposing_dims = Array.copy dims in
+      opposing_dims.(player) <- 1;
+      let opposing = B.Combin.profiles opposing_dims in
+      let nvars = k + 2 in
+      let payoff b s =
+        let p = Array.copy s in
+        p.(player) <- b;
+        Nf.payoff g p player
+      in
+      let rows =
+        List.map
+          (fun s ->
+            Simplex.ge
+              (Array.init nvars (fun c ->
+                   if c < k then payoff (List.nth others c) s -. payoff a s
+                   else if c = k then -1.0
+                   else 1.0))
+              0.0)
+          opposing
+      in
+      let sum_row = Simplex.eq (Array.init nvars (fun c -> if c < k then 1.0 else 0.0)) 1.0 in
+      let objective =
+        Array.init nvars (fun c -> if c = k then 1.0 else if c = k + 1 then -1.0 else 0.0)
+      in
+      match Simplex.maximize objective (sum_row :: rows) with
+      | Simplex.Optimal { solution; value } when value > eps ->
+        let mix = Array.make own 0.0 in
+        List.iteri (fun idx b -> mix.(b) <- Float.max 0.0 solution.(idx)) others;
+        let total = Array.fold_left ( +. ) 0.0 mix in
+        Some (Array.map (fun x -> x /. total) mix)
+      | Simplex.Optimal _ | Simplex.Infeasible | Simplex.Unbounded -> None
+    end
+
+  let restrict g surviving =
+    let n = Nf.n_players g in
+    let arr = Array.map Array.of_list surviving in
+    Nf.create
+      ~actions:(Array.map Array.length arr)
+      (fun p -> Nf.payoff_vector g (Array.init n (fun i -> arr.(i).(p.(i)))))
+
+  let rationalizable g =
+    let n = Nf.n_players g in
+    let surviving = Array.init n (fun i -> List.init (Nf.num_actions g i) Fun.id) in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      let current = restrict g surviving in
+      for i = 0 to n - 1 do
+        if List.length surviving.(i) > 1 then begin
+          let doomed = ref [] in
+          List.iteri
+            (fun local _ ->
+              if mixed_dominates current ~player:i local <> None then doomed := local :: !doomed)
+            surviving.(i);
+          match !doomed with
+          | [] -> ()
+          | local :: _ ->
+            surviving.(i) <- List.filteri (fun idx _ -> idx <> local) surviving.(i);
+            changed := true
+        end
+      done
+    done;
+    surviving
 end

@@ -107,6 +107,51 @@ let interim_vs_exante_property =
       in
       Float.abs (ex_ante -. weighted) < 1e-9)
 
+(* {2 The interim table against the behavioral check}
+
+   Random 2- and 3-player games with 1–3 types and 1–3 actions per player
+   (at most 300 pure profiles), drawn from a seed. Prior weights are
+   drawn from {0, 1, 2, 3}, so some types have probability 0 and the check
+   must skip them; small integer payoffs make ties common. *)
+let random_bayesian seed =
+  let rng = B.Prng.create seed in
+  let n = 2 + B.Prng.int rng 2 in
+  let rec draw () =
+    let num_types = Array.init n (fun _ -> 1 + B.Prng.int rng 3) in
+    let actions = Array.init n (fun _ -> 1 + B.Prng.int rng 3) in
+    let profiles = ref 1 in
+    Array.iteri
+      (fun i k ->
+        for _ = 1 to k do
+          profiles := !profiles * actions.(i)
+        done)
+      num_types;
+    if !profiles <= 300 then (num_types, actions) else draw ()
+  in
+  let num_types, actions = draw () in
+  let type_profiles = B.Combin.profiles num_types in
+  let weights = List.map (fun tp -> (tp, float_of_int (B.Prng.int rng 4))) type_profiles in
+  let weights =
+    if List.for_all (fun (_, w) -> w = 0.0) weights then
+      (List.hd type_profiles, 1.0) :: List.tl weights
+    else weights
+  in
+  let pay = Array.init 729 (fun _ -> Array.init n (fun _ -> float_of_int (B.Prng.int rng 5 - 2))) in
+  B.Bayesian.create ~num_types ~actions ~prior:(B.Dist.of_list weights) (fun ~types ~acts ->
+      let idx = ref 0 in
+      Array.iteri (fun j ty -> idx := (((!idx * 3) + ty) * 3) + acts.(j)) types;
+      pay.(!idx))
+
+let pure_bayes_nash_oracle_property =
+  QCheck.Test.make ~count:150 ~name:"pure BNE: interim table = behavioral-check oracle"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let b = random_bayesian seed in
+      List.for_all
+        (fun eps ->
+          B.Bayesian.pure_bayes_nash ?eps b = Oracles.Bayesian.pure_bayes_nash ?eps b)
+        [ None; Some 0.0; Some 0.5 ])
+
 let suite =
   [
     Alcotest.test_case "create validation" `Quick test_create_validation;
@@ -121,4 +166,5 @@ let suite =
     Alcotest.test_case "BA game shape" `Quick test_ba_game_shape;
     Alcotest.test_case "BA majority" `Quick test_ba_majority;
     QCheck_alcotest.to_alcotest interim_vs_exante_property;
+    QCheck_alcotest.to_alcotest pure_bayes_nash_oracle_property;
   ]

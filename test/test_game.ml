@@ -108,7 +108,9 @@ let test_expected_payoff_matches_pure () =
 let test_expected_vs_pure_deviation () =
   let g = B.Games.prisoners_dilemma in
   let prof = B.Mixed.pure_profile g [| 0; 0 |] in
-  check_float "deviate to D" 5.0 (B.Mixed.expected_payoff_vs_pure g prof ~player:0 ~action:1)
+  check_float "deviate to D" 5.0 (B.Nash.best_response_value g prof ~player:0);
+  Alcotest.(check (list int)) "D is the best response" [ 1 ]
+    (B.Nash.pure_best_responses g prof ~player:0)
 
 let test_outcome_dist () =
   let g = B.Games.matching_pennies in
@@ -381,15 +383,78 @@ let zero_sum_value_bounds_property =
         let lo = List.fold_left min infinity all and hi = List.fold_left max neg_infinity all in
         v >= lo -. 1e-6 && v <= hi +. 1e-6)
 
-(* The 2-player regret evaluator runs on the flat kernel; it must agree
-   with the all-Mixed reference {e bitwise} — same products, same
-   accumulation order — on sparse, uniform and pure profiles alike. *)
+(* [Nash]'s evaluators run on the flat kernels ([eu2]/[eu2_dev] for two
+   players, [Nash.Kernel] otherwise); they must agree with the all-[Mixed]
+   reference {e bitwise} — same products, same accumulation order — on
+   sparse, uniform and pure profiles alike. *)
 let max_regret_kernel_agreement_property =
   QCheck.Test.make ~count:200 ~name:"nash: max_regret = max_regret_naive (bitwise, flat kernel)"
     QCheck.(array_of_size (Gen.return 18) (float_range (-4.0) 4.0))
     (fun payoffs ->
       let g, prof = two_player_case_of_draw payoffs in
-      let agree p = B.Nash.max_regret g p = B.Nash.max_regret_naive g p in
+      let agree p = B.Nash.max_regret g p = Oracles.Game.max_regret_naive g p in
+      let ok = ref (agree prof && agree (B.Mixed.uniform_profile g)) in
+      B.Normal_form.iter_profiles g (fun p ->
+          if not (agree (B.Mixed.pure_profile g p)) then ok := false);
+      !ok)
+
+let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* An n-player game (n = 1..5, 1–3 actions each) and a profile whose
+   strategies are point masses, empty supports or sparse weights. Tiny
+   weights make some support products underflow to 0.0 and infinite
+   payoffs make a skipped zero-probability profile visible (0 × ∞ is
+   NaN). *)
+let n_player_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 5 in
+  let* acts = array_size (return n) (int_range 1 3) in
+  let size = Array.fold_left ( * ) 1 acts in
+  let* pay =
+    array_size
+      (return (size * n))
+      (frequency
+         [ (12, float_range (-4.0) 4.0); (1, oneofl [ Float.infinity; Float.neg_infinity ]) ])
+  in
+  let strategy m =
+    frequency
+      [
+        (2, map (fun a -> B.Mixed.pure ~num_actions:m a) (int_range 0 (m - 1)));
+        (1, return (Array.make m 0.0));
+        ( 4,
+          array_size (return m)
+            (frequency [ (2, return 0.0); (1, return 1e-200); (4, float_range 0.05 1.0) ]) );
+      ]
+  in
+  let* prof = flatten_a (Array.map strategy acts) in
+  let g =
+    B.Normal_form.create ~actions:acts (fun p ->
+        let idx = ref 0 in
+        Array.iteri (fun i a -> idx := (!idx * acts.(i)) + a) p;
+        Array.init n (fun i -> pay.((!idx * n) + i)))
+  in
+  return (g, prof)
+
+let n_player_max_regret_agreement_property =
+  QCheck.Test.make ~count:300 ~name:"nash: max_regret = max_regret_naive (bitwise, n = 1..5)"
+    (QCheck.make
+       ~print:(fun (g, prof) ->
+         Format.asprintf "%a@ %a" B.Normal_form.pp g B.Mixed.pp_profile prof)
+       n_player_case)
+    (fun (g, prof) ->
+      let module O = Oracles.Game in
+      let agree p =
+        bits_eq (B.Nash.max_regret g p) (O.max_regret_naive g p)
+        && List.for_all
+             (fun player ->
+               let devs = O.deviation_values g p ~player in
+               let br = Array.fold_left (fun b v -> if v > b then v else b) neg_infinity devs in
+               bits_eq (B.Nash.best_response_value g p ~player) br
+               && bits_eq (B.Nash.regret g p ~player)
+                    (Float.max 0.0 (br -. B.Mixed.expected_payoff g p player))
+               && B.Nash.pure_best_responses g p ~player = O.pure_best_responses g p ~player)
+             (List.init (B.Normal_form.n_players g) Fun.id)
+      in
       let ok = ref (agree prof && agree (B.Mixed.uniform_profile g)) in
       B.Normal_form.iter_profiles g (fun p ->
           if not (agree (B.Mixed.pure_profile g p)) then ok := false);
@@ -435,10 +500,10 @@ let learning_incremental_agreement_property =
         (fun g ->
           trace_eq
             (B.Learning.fictitious_play ~rounds:60 g)
-            (B.Learning.fictitious_play_naive ~rounds:60 g)
+            (Oracles.Game.fictitious_play_naive ~rounds:60 g)
           && trace_eq
                (B.Learning.replicator ~rounds:60 g)
-               (B.Learning.replicator_naive ~rounds:60 g))
+               (Oracles.Game.replicator_naive ~rounds:60 g))
         [ g2; g3 ])
 
 let test_replicator_tol_early_stop () =
@@ -507,5 +572,6 @@ let suite =
       test_fictitious_play_tol_early_stop;
     QCheck_alcotest.to_alcotest flat_table_matches_generator_property;
     QCheck_alcotest.to_alcotest max_regret_kernel_agreement_property;
+    QCheck_alcotest.to_alcotest n_player_max_regret_agreement_property;
     QCheck_alcotest.to_alcotest learning_incremental_agreement_property;
   ]

@@ -62,6 +62,119 @@ let test_to_normal_form_consistency () =
         (MG.expected_utility g ~choice:p ~player:0)
         (B.Normal_form.payoff nf p 0))
 
+let test_create_validates_prior () =
+  let make prior =
+    ignore
+      (MG.create
+         ~machines:[| [| B.Machine.constant "a" 0 |]; [| B.Machine.constant "b" 0 |] |]
+         ~num_types:[| 1; 1 |] ~prior
+         ~utility:(fun ~player:_ ~types:_ ~acts:_ ~complexities:_ -> 0.0))
+  in
+  Alcotest.check_raises "profile arity"
+    (Invalid_argument "Machine_game.create: prior profile arity") (fun () ->
+      make (B.Dist.return [| 7 |]));
+  Alcotest.check_raises "type out of range"
+    (Invalid_argument "Machine_game.create: prior type out of range") (fun () ->
+      make (B.Dist.return [| 0; 7 |]))
+
+(* {2 The EU table against the list-path oracle}
+
+   A random machine game (1–3 players, 1–3 types and 1–3 machines each)
+   drawn from a seed, built twice: by [Machine_game.create] and as the
+   oracle's record. Machines are deterministic, randomizing, or
+   randomizing with a point-mass output; utilities are small integers
+   minus a charge on complexity, so ties between machines are common. *)
+module O = Oracles.Machine_game
+
+let random_machine_game seed =
+  let rng = B.Prng.create seed in
+  let n = 1 + B.Prng.int rng 3 in
+  let num_types = Array.init n (fun _ -> 1 + B.Prng.int rng 3) in
+  let small () = float_of_int (B.Prng.int rng 5 - 2) in
+  let table () = Array.init 3 (fun _ -> B.Prng.int rng 3) in
+  let machine i m =
+    let name = Printf.sprintf "m%d.%d" i m in
+    let cost = Array.init 3 (fun _ -> float_of_int (B.Prng.int rng 3)) in
+    let complexity ty = cost.(ty) in
+    match B.Prng.int rng 3 with
+    | 0 ->
+      let out = table () in
+      B.Machine.deterministic name ~complexity (fun ty -> out.(ty))
+    | 1 ->
+      let a = table () and b = table () in
+      let w = Array.init 3 (fun _ -> 0.25 +. B.Prng.float rng) in
+      B.Machine.randomizing name ~complexity (fun ty ->
+          B.Dist.of_list [ (a.(ty), w.(ty)); (b.(ty), 1.0) ])
+    | _ ->
+      let out = table () and w = 0.1 +. B.Prng.float rng in
+      B.Machine.randomizing name ~complexity (fun ty -> B.Dist.of_list [ (out.(ty), w) ])
+  in
+  let machines = Array.init n (fun i -> Array.init (1 + B.Prng.int rng 3) (machine i)) in
+  let type_profiles = B.Combin.profiles num_types in
+  let weights = List.map (fun tp -> (tp, float_of_int (B.Prng.int rng 3))) type_profiles in
+  let weights =
+    if List.for_all (fun (_, w) -> w = 0.0) weights then
+      (List.hd type_profiles, 1.0) :: List.tl weights
+    else weights
+  in
+  let prior = B.Dist.of_list weights in
+  let pay = Array.init 2187 (fun _ -> small ()) in
+  let charge = Array.init n (fun _ -> if B.Prng.bool rng then 1.0 else 0.5) in
+  let utility ~player ~types ~acts ~complexities =
+    let idx = ref player in
+    Array.iteri (fun j ty -> idx := (((!idx * 3) + ty) * 3) + acts.(j)) types;
+    pay.(!idx) -. (charge.(player) *. complexities.(player))
+  in
+  (MG.create ~machines ~num_types ~prior ~utility, { O.machines; prior; utility })
+
+let bits_eq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let machine_table_agreement_property =
+  QCheck.Test.make ~count:200 ~name:"machine game: EU table = list-path oracle (bitwise)"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g, o = random_machine_game seed in
+      let n = MG.n_players g in
+      let profiles = O.all_choices o in
+      List.for_all
+        (fun choice ->
+          List.for_all
+            (fun player ->
+              bits_eq (MG.expected_utility g ~choice ~player) (O.expected_utility o ~choice ~player)
+              && MG.best_deviation g ~choice ~player = O.best_deviation o ~choice ~player)
+            (List.init n Fun.id)
+          && List.for_all
+               (fun eps -> MG.is_nash ~eps g ~choice = O.is_nash ~eps o ~choice)
+               [ 0.0; 1e-9; 0.5 ])
+        profiles
+      && MG.nash_equilibria g = O.nash_equilibria o
+      && MG.nonexistence_certificate g = O.nonexistence_certificate o)
+
+(* Computational roshambo (Ex 3.3) has no equilibrium, so its certificate
+   covers every profile; both sides must name the same deviations. *)
+let test_roshambo_certificate_matches_oracle () =
+  let beats i j = if i = (j + 1) mod 3 then 1.0 else if j = (i + 1) mod 3 then -1.0 else 0.0 in
+  let space =
+    Array.append
+      (Array.init 3 (fun a -> B.Machine.constant (string_of_int a) a))
+      [| B.Machine.randomizing "uniform" (fun _ -> B.Dist.uniform [ 0; 1; 2 ]) |]
+  in
+  let base acts = [| beats acts.(0) acts.(1); beats acts.(1) acts.(0) |] in
+  let g = MG.simple ~machines:[| space; space |] ~base ~charge:[| 1.0; 1.0 |] in
+  let o =
+    {
+      O.machines = [| space; space |];
+      prior = B.Dist.return [| 0; 0 |];
+      utility =
+        (fun ~player ~types:_ ~acts ~complexities ->
+          (base acts).(player) -. (1.0 *. complexities.(player)));
+    }
+  in
+  Alcotest.(check bool) "no equilibrium" true (MG.nash_equilibria g = []);
+  Alcotest.(check bool) "certificate" true
+    (MG.nonexistence_certificate g = O.nonexistence_certificate o
+    && MG.nonexistence_certificate g <> None)
+
 (* {1 Primality} *)
 
 let trial_division n =
@@ -209,6 +322,10 @@ let suite =
     Alcotest.test_case "machine game: best deviation" `Quick test_best_deviation;
     Alcotest.test_case "machine game: equilibria" `Quick test_nash_equilibria_enumeration;
     Alcotest.test_case "machine game: to normal form" `Quick test_to_normal_form_consistency;
+    Alcotest.test_case "machine game: create validates prior" `Quick test_create_validates_prior;
+    QCheck_alcotest.to_alcotest machine_table_agreement_property;
+    Alcotest.test_case "machine game: roshambo = oracle" `Quick
+      test_roshambo_certificate_matches_oracle;
     QCheck_alcotest.to_alcotest miller_rabin_matches_trial_division;
     Alcotest.test_case "primality: known values" `Quick test_known_primes;
     Alcotest.test_case "primality: Carmichael" `Quick test_carmichael_numbers;

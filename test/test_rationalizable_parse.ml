@@ -55,6 +55,29 @@ let rationalizable_contains_nash_support =
 
 (* {1 Parse} *)
 
+(* The top-down scan must remove, pass by pass, exactly the action the
+   every-LP loop removes. Small integer payoffs on 2- and 3-player games
+   with 2–4 actions give ties and several dominated actions per pass. *)
+let rationalizable_oracle_property =
+  QCheck.Test.make ~count:150 ~name:"rationalizable: top-down scan = every-LP oracle"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = B.Prng.create seed in
+      let n = 2 + B.Prng.int rng 2 in
+      let actions = Array.init n (fun _ -> 2 + B.Prng.int rng (if n = 2 then 3 else 2)) in
+      let g =
+        B.Normal_form.create ~actions (fun _ ->
+            Array.init n (fun _ -> float_of_int (B.Prng.int rng 7 - 3)))
+      in
+      let module O = Oracles.Rationalizable in
+      R.rationalizable g = O.rationalizable g
+      && List.for_all
+           (fun player ->
+             List.for_all
+               (fun a -> R.mixed_dominates g ~player a = O.mixed_dominates g ~player a)
+               (List.init actions.(player) Fun.id))
+           (List.init n Fun.id))
+
 let test_parse_pd () =
   let g = P.bimatrix "3,3 0,5 | 5,0 1,1" in
   Alcotest.(check int) "2x2" 2 (B.Normal_form.num_actions g 0);
@@ -113,6 +136,7 @@ let suite =
     Alcotest.test_case "rationalizable: best responses survive" `Quick
       test_mixed_dominance_none_when_best_response;
     QCheck_alcotest.to_alcotest rationalizable_contains_nash_support;
+    QCheck_alcotest.to_alcotest rationalizable_oracle_property;
     Alcotest.test_case "parse: PD" `Quick test_parse_pd;
     Alcotest.test_case "parse: rectangular" `Quick test_parse_rectangular;
     Alcotest.test_case "parse: whitespace/floats" `Quick test_parse_whitespace_and_floats;

@@ -196,7 +196,7 @@ let k1_resilience_is_unilateral_nash_property =
         let gain = ref false in
         for i = 0 to 2 do
           for a = 0 to 1 do
-            if B.Mixed.expected_payoff_vs_pure g prof ~player:i ~action:a > base.(i) +. eps
+            if Oracles.Game.expected_payoff_vs_pure g prof ~player:i ~action:a > base.(i) +. eps
             then gain := true
           done
         done;
